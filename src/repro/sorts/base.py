@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.exceptions import ConfigurationError, InsufficientMemoryError
 from repro.pmem.backends.base import PersistenceBackend
@@ -91,6 +92,8 @@ class SortAlgorithm(abc.ABC):
         self.output_name = output_name
         self.bufferpool = bufferpool if bufferpool is not None else Bufferpool(budget)
         self.workspace_records = budget.record_capacity(schema)
+        #: Key extractor for merges and heaps, as a C-level callable.
+        self.key_fn = itemgetter(schema.key_index)
         if self.workspace_records < 1:
             raise InsufficientMemoryError(
                 f"{self.short_name}: budget of {budget.nbytes} bytes holds no records"
@@ -150,10 +153,6 @@ class SortAlgorithm(abc.ABC):
     def memory_buffers(self) -> float:
         """The DRAM budget in cachelines: the paper's M."""
         return self.budget.buffers
-
-    @property
-    def key_fn(self):
-        return self.schema.key
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -8,9 +8,10 @@ and rewrites the whole data set.
 
 from __future__ import annotations
 
+import heapq
+
 from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
-from repro.sorts.heaps import ReplacementSelectionHeap
 from repro.storage.collection import AppendBuffer, PersistentCollection
 from repro.storage.runs import RunSet, merge_runs
 
@@ -19,45 +20,58 @@ def generate_runs_replacement_selection(
     collection: PersistentCollection,
     runset: RunSet,
     capacity_records: int,
-    key_fn,
+    key_index: int,
     start: int = 0,
     stop: int | None = None,
 ) -> int:
     """Generate sorted runs from a slice of ``collection`` into ``runset``.
 
     Returns the number of runs produced.  Shared by external mergesort and
-    the mergesort segment of segment sort.  The input is consumed block by
-    block and emitted records are buffered per run, so both directions go
-    through the batched collection I/O path.
+    the mergesort segment of segment sort.  Two-heap replacement
+    selection over ``capacity_records`` entries of ``(key, sequence,
+    record)``, each key read once: a record at least as large as the one
+    just emitted joins the current run, a smaller one is parked for the
+    next run, and the run closes when the current heap empties.  The
+    input is consumed block by block and emitted records are buffered per
+    run, so both directions go through the batched collection I/O path.
     """
-    heap = ReplacementSelectionHeap(capacity_records, key_fn)
-    current_run: AppendBuffer | None = None
+    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
+    current: list[tuple[int, int, tuple]] = []
+    parked: list[tuple[int, int, tuple]] = []
+    run: AppendBuffer | None = None
+    sequence = 0
     for block in collection.scan_blocks(start=start, stop=stop):
         for record in block:
-            if not heap.is_full:
-                heap.fill(record)
+            sequence += 1
+            key = record[key_index]
+            if sequence <= capacity_records:
+                heappush(current, (key, sequence, record))
                 continue
-            if current_run is None:
-                current_run = AppendBuffer(runset.new_run())
-            emitted, run_closed = heap.push_pop(record)
-            current_run.append(emitted)
-            if run_closed:
-                current_run.seal()
-                current_run = None
+            if run is None:
+                run = AppendBuffer(runset.new_run())
+            if key >= current[0][0]:
+                run.append(heapreplace(current, (key, sequence, record))[2])
+                continue
+            run.append(heappop(current)[2])
+            heappush(parked, (key, sequence, record))
+            if not current:
+                # The parked heap becomes the next run's current heap.
+                run.seal()
+                run = None
+                current, parked = parked, []
     # Drain what remains in the two heaps: the tail of the current run and,
     # if present, the records already parked for the next run.
-    if len(heap):
-        if current_run is None:
-            current_run = AppendBuffer(runset.new_run())
-        current_run.extend(heap.drain_current())
-        current_run.seal()
-        current_run = None
-        if heap.has_next_run():
-            next_run = runset.new_run()
-            next_run.extend(heap.drain_next())
-            next_run.seal()
-    elif current_run is not None:
-        current_run.seal()
+    if current:
+        if run is None:
+            run = AppendBuffer(runset.new_run())
+        current.sort()
+        run.extend(entry[2] for entry in current)
+        run.seal()
+        if parked:
+            parked.sort()
+            runset.write_sorted_run(entry[2] for entry in parked)
+    elif run is not None:
+        run.seal()
     return len(runset)
 
 
@@ -76,7 +90,7 @@ class ExternalMergeSort(SortAlgorithm):
             self.backend, schema=self.schema, prefix=f"{collection.name}-exms"
         )
         generate_runs_replacement_selection(
-            collection, runset, self.workspace_records, self.key_fn
+            collection, runset, self.workspace_records, self.schema.key_index
         )
         merge_passes = merge_runs(
             runset.runs,

@@ -13,12 +13,16 @@ Both are implemented on ``heapq`` with explicit tie-breaking on input
 position so that records with equal keys have a stable, strict total
 order -- the write-limited sorts rely on that order to guarantee that
 consecutive scans never select the same record twice.
+
+:func:`selection_pass` is one scan of the multi-pass selection sorts
+(selection sort, lazy sort and segment sort's selection segment) with
+the bounded max-heap inlined into the loop.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.exceptions import ConfigurationError
 
@@ -86,6 +90,64 @@ class BoundedMaxHeap:
 
     def clear(self) -> None:
         self._heap = []
+
+
+def selection_pass(
+    blocks: Iterable[list[tuple]],
+    capacity: int,
+    key_index: int,
+    threshold: tuple[int, int] | None = None,
+    spill=None,
+) -> tuple[list[tuple], tuple[int, int] | None]:
+    """One selection scan: the ``capacity`` smallest records above ``threshold``.
+
+    ``blocks`` is the scan of the input (positions count from its first
+    record).  Records whose ``(key, position)`` is not above
+    ``threshold`` were emitted by an earlier pass and are skipped.  Of
+    the rest, the ``capacity`` smallest are kept in a bounded max-heap of
+    ``(-key, -position, record)``; every other record goes to ``spill``
+    (when given) in the order it leaves the scan: a rejected record when
+    it is read, a displaced one when it is displaced.
+
+    Returns the kept records in ascending ``(key, position)`` order and
+    the largest kept ``(key, position)``, the next pass's threshold
+    (``None`` when nothing was kept).
+    """
+    if capacity <= 0:
+        raise ConfigurationError(f"heap capacity must be positive, got {capacity}")
+    low_key, low_position = threshold if threshold is not None else (None, -1)
+    heap: list[tuple[int, int, tuple]] = []
+    push = heapq.heappush
+    replace = heapq.heapreplace
+    spill_append = spill.append if spill is not None else None
+    # Every retained entry precedes the current record in the scan, so
+    # the record beats the heap maximum exactly when its key is smaller.
+    max_key = None
+    position = -1
+    for block in blocks:
+        for record in block:
+            position += 1
+            key = record[key_index]
+            if low_key is not None and (
+                key < low_key or (key == low_key and position <= low_position)
+            ):
+                continue
+            if max_key is None:
+                push(heap, (-key, -position, record))
+                if len(heap) == capacity:
+                    max_key = -heap[0][0]
+            elif key < max_key:
+                displaced = replace(heap, (-key, -position, record))[2]
+                max_key = -heap[0][0]
+                if spill_append is not None:
+                    spill_append(displaced)
+            elif spill_append is not None:
+                spill_append(record)
+    if not heap:
+        return [], None
+    heap.sort(reverse=True)
+    largest_key, largest_position, _ = heap[-1]
+    return [entry[2] for entry in heap], (-largest_key, -largest_position)
 
 
 class ReplacementSelectionHeap:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
-from repro.sorts.heaps import BoundedMaxHeap
+from repro.sorts.heaps import selection_pass
 from repro.storage.collection import (
     AppendBuffer,
     CollectionStatus,
@@ -70,25 +70,20 @@ class LazySort(SortAlgorithm):
                     status=CollectionStatus.MATERIALIZED,
                 )
 
-            heap = BoundedMaxHeap(self.workspace_records)
             spill = AppendBuffer(intermediate) if intermediate is not None else None
-            position = 0
-            for block in source.scan_blocks():
-                for record in block:
-                    key = self.key_fn(record)
-                    if threshold is None or (key, position) > threshold:
-                        displaced = heap.offer(key, position, record)
-                        if displaced is not None and spill is not None:
-                            # The displaced record is not among the current M
-                            # minimums but is still pending: it belongs to the
-                            # materialized intermediate input.
-                            spill.append(displaced)
-                    position += 1
+            # Records displaced from (or rejected by) the heap are not
+            # among the current M minimums but are still pending: they
+            # belong to the materialized intermediate input.
+            batch, threshold = selection_pass(
+                source.scan_blocks(),
+                self.workspace_records,
+                self.schema.key_index,
+                threshold,
+                spill,
+            )
             if spill is not None:
                 spill.flush()
             scans += 1
-            threshold = heap.max_key_position
-            batch = heap.drain_sorted()
             output.extend(batch)
             emitted += len(batch)
             if not batch:

@@ -77,7 +77,7 @@ class SegmentSort(SortAlgorithm):
                 collection,
                 runset,
                 self.workspace_records,
-                self.key_fn,
+                self.schema.key_index,
                 start=0,
                 stop=boundary,
             )
@@ -129,7 +129,7 @@ class SegmentSort(SortAlgorithm):
                 selection_sort_stream(
                     collection,
                     self.workspace_records,
-                    self.key_fn,
+                    self.schema.key_index,
                     start=boundary,
                 )
             )

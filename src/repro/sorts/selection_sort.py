@@ -13,47 +13,63 @@ from __future__ import annotations
 from repro.exceptions import ReproError
 from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
-from repro.sorts.heaps import BoundedMaxHeap
+from repro.sorts.heaps import selection_pass
 from repro.storage.collection import PersistentCollection
+
+
+def selection_batches(
+    collection: PersistentCollection,
+    workspace_records: int,
+    key_index: int,
+    start: int = 0,
+    stop: int | None = None,
+):
+    """Yield a slice of ``collection`` as successive sorted batches.
+
+    Each batch is one read pass over the slice (charging reads) that
+    selects the next ``workspace_records`` smallest records; nothing is
+    written.  A pass starts only when the previous batch is asked for.
+    """
+    if collection.is_deferred:
+        total = sum(1 for _ in collection.scan(start=start, stop=stop))
+    else:
+        # The slice length, without copying the slice.
+        total = len(range(len(collection))[start:stop])
+    emitted = 0
+    threshold: tuple[int, int] | None = None
+    while emitted < total:
+        batch, threshold = selection_pass(
+            collection.scan_blocks(start=start, stop=stop),
+            workspace_records,
+            key_index,
+            threshold,
+        )
+        if not batch:
+            raise ReproError(
+                "selection sort made no progress; input mutated during sorting?"
+            )
+        emitted += len(batch)
+        yield batch
 
 
 def selection_sort_stream(
     collection: PersistentCollection,
     workspace_records: int,
-    key_fn,
+    key_index: int,
     start: int = 0,
     stop: int | None = None,
 ):
     """Lazily yield a slice of ``collection`` in sorted order.
 
     The generator performs the multi-pass selection sort but never writes:
-    each pass re-reads the slice (charging reads) and yields the next batch
-    of minimum records.  Segment sort pipes this stream straight into its
-    final merge, which is how it avoids materializing the selection segment
-    as an intermediate run.
+    each pass re-reads the slice and yields the next batch of minimum
+    records.  Segment sort pipes this stream straight into its final
+    merge, which is how it avoids materializing the selection segment as
+    an intermediate run.
     """
-    if collection.is_deferred:
-        total = sum(1 for _ in collection.scan(start=start, stop=stop))
-    else:
-        total = len(collection.records[start:stop])
-    emitted = 0
-    threshold: tuple[int, int] | None = None
-    while emitted < total:
-        heap = BoundedMaxHeap(workspace_records)
-        position = 0
-        for block in collection.scan_blocks(start=start, stop=stop):
-            for record in block:
-                key = key_fn(record)
-                if threshold is None or (key, position) > threshold:
-                    heap.offer(key, position, record)
-                position += 1
-        if len(heap) == 0:
-            raise ReproError(
-                "selection sort made no progress; input mutated during sorting?"
-            )
-        threshold = heap.max_key_position
-        batch = heap.drain_sorted()
-        emitted += len(batch)
+    for batch in selection_batches(
+        collection, workspace_records, key_index, start, stop
+    ):
         yield from batch
 
 
@@ -61,39 +77,20 @@ def selection_sort_into(
     collection: PersistentCollection,
     output: PersistentCollection,
     workspace_records: int,
-    key_fn,
+    key_index: int,
     start: int = 0,
     stop: int | None = None,
 ) -> int:
     """Selection-sort a slice of ``collection``, appending to ``output``.
 
-    Returns the number of read passes performed over the slice.  Shared by
-    :class:`SelectionSort` and the selection segment of segment sort.
+    Returns the number of read passes performed over the slice.
     """
-    total = len(collection.records[start:stop]) if not collection.is_deferred else None
-    if total is None:
-        total = sum(1 for _ in collection.scan(start=start, stop=stop))
-    emitted = 0
-    threshold: tuple[int, int] | None = None
     passes = 0
-    while emitted < total:
-        heap = BoundedMaxHeap(workspace_records)
-        position = 0
-        for block in collection.scan_blocks(start=start, stop=stop):
-            for record in block:
-                key = key_fn(record)
-                if threshold is None or (key, position) > threshold:
-                    heap.offer(key, position, record)
-                position += 1
-        passes += 1
-        if len(heap) == 0:
-            raise ReproError(
-                "selection sort made no progress; input mutated during sorting?"
-            )
-        threshold = heap.max_key_position
-        batch = heap.drain_sorted()
+    for batch in selection_batches(
+        collection, workspace_records, key_index, start, stop
+    ):
         output.extend(batch)
-        emitted += len(batch)
+        passes += 1
     return passes
 
 
@@ -109,7 +106,7 @@ class SelectionSort(SortAlgorithm):
             output.seal()
             return SortResult(output=output, io=None)
         passes = selection_sort_into(
-            collection, output, self.workspace_records, self.key_fn
+            collection, output, self.workspace_records, self.schema.key_index
         )
         output.seal()
         return SortResult(

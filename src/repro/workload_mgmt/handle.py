@@ -95,7 +95,10 @@ class QueryHandle:
         self._memory_bytes: Optional[int] = None
         self._slot_gate = None
         self._slot_held = False
+        #: Claimed for dispatch (or abandonment); see WorkloadScheduler._claim.
         self._dispatched = False
+        #: Admitted by a ``dispatch=False`` submit; ``start`` dispatches it.
+        self._awaiting_start = False
         self._clock_submit = 0.0
 
     # ------------------------------------------------------------------ #

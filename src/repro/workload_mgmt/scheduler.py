@@ -128,7 +128,9 @@ class WorkloadScheduler:
         if self.controller.try_admit(handle, policy=policy):
             self._record_queue_wait(handle)
             self._finalize(handle)
-            if dispatch:
+            if not dispatch:
+                handle._awaiting_start = True
+            elif self._claim(handle):
                 self._dispatch(handle)
         return handle
 
@@ -142,10 +144,27 @@ class WorkloadScheduler:
         )
 
     def start(self, handle: QueryHandle) -> None:
-        """Dispatch a handle admitted with ``dispatch=False`` (no-op
-        for queued/terminal handles, which dispatch via admission)."""
-        if handle._share is not None and not handle._dispatched:
+        """Dispatch a handle that :meth:`submit` admitted with
+        ``dispatch=False``.
+
+        A no-op for every other handle: a queued one is dispatched by
+        the release that admits it, which may be running on a worker
+        thread right now, so its share alone does not make it ours.
+        """
+        if handle._awaiting_start and self._claim(handle):
             self._dispatch(handle)
+
+    def _claim(self, handle: QueryHandle) -> bool:
+        """Take the sole right to dispatch or abandon ``handle``.
+
+        One test-and-set under the scheduler lock: of ``start``, the
+        release path and ``abandon``, exactly one wins per handle.
+        """
+        with self._lock:
+            if handle._dispatched:
+                return False
+            handle._dispatched = True
+            return True
 
     def busy_clock_ns(self) -> float:
         """Simulated 'now': the busiest device's ns since startup."""
@@ -237,7 +256,7 @@ class WorkloadScheduler:
     # Dispatch and completion.
     # ------------------------------------------------------------------ #
     def _dispatch(self, handle: QueryHandle) -> None:
-        handle._dispatched = True
+        """Start an admitted, finalized handle; the caller holds its claim."""
         handle._mark_running()
         with self._lock:
             self._running.add(handle)
@@ -308,6 +327,9 @@ class WorkloadScheduler:
         pending = list(self.controller.release(handle))
         while pending:
             waiter = pending.pop(0)
+            if not self._claim(waiter):
+                # ``abandon`` won the claim and returns the share itself.
+                continue
             try:
                 self._record_queue_wait(waiter)
                 self._finalize(waiter)
@@ -332,7 +354,11 @@ class WorkloadScheduler:
         if handle.done or handle._dispatched:
             return
         if handle._share is None:
+            # If a release admits it meanwhile, the cancel finds nothing
+            # queued and the release path dispatches it.
             self.controller.cancel(handle)
+            return
+        if not self._claim(handle):
             return
         handle._cancel_abandoned()
         self._release_and_dispatch(handle)

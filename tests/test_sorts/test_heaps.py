@@ -5,7 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.sorts.heaps import BoundedMaxHeap, ReplacementSelectionHeap
+from repro.pmem.backends import make_backend
+from repro.pmem.device import PersistentMemoryDevice
+from repro.sorts.external_mergesort import generate_runs_replacement_selection
+from repro.sorts.heaps import (
+    BoundedMaxHeap,
+    ReplacementSelectionHeap,
+    selection_pass,
+)
+from repro.storage.collection import PersistentCollection
+from repro.storage.runs import RunSet
 from repro.storage.schema import WISCONSIN_SCHEMA
 
 
@@ -162,3 +171,89 @@ class TestReplacementSelectionHeap:
             assert run == sorted(run)
         flattened = sorted(key for run in runs for key in run)
         assert flattened == sorted(keys)
+
+
+def reference_selection_pass(records, capacity, threshold):
+    """One selection scan written with :class:`BoundedMaxHeap`."""
+    heap = BoundedMaxHeap(capacity)
+    spilled = []
+    for position, rec in enumerate(records):
+        key = rec[0]
+        if threshold is None or (key, position) > threshold:
+            displaced = heap.offer(key, position, rec)
+            if displaced is not None:
+                spilled.append(displaced)
+    largest = heap.max_key_position
+    return heap.drain_sorted(), largest, spilled
+
+
+class TestSelectionPass:
+    def test_rejects_non_positive_capacity(self):
+        with pytest.raises(ConfigurationError):
+            selection_pass([], 0, 0)
+
+    def test_empty_scan_keeps_nothing(self):
+        assert selection_pass([[]], 3, 0) == ([], None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=12), max_size=60),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=7),
+    )
+    def test_matches_the_bounded_heap_pass_by_pass(self, keys, capacity, block):
+        # Duplicate keys with distinct payloads make tie order visible.
+        records = [(key, uid) for uid, key in enumerate(keys)]
+        blocks = [records[i:i + block] for i in range(0, len(records), block)]
+        threshold = None
+        while True:
+            spilled = []
+            batch, next_threshold = selection_pass(
+                iter(blocks), capacity, 0, threshold, spilled
+            )
+            assert (batch, next_threshold, spilled) == reference_selection_pass(
+                records, capacity, threshold
+            )
+            if not batch:
+                break
+            threshold = next_threshold
+
+
+def reference_runs(records, capacity):
+    """Replacement-selection runs written with :class:`ReplacementSelectionHeap`."""
+    heap = ReplacementSelectionHeap(capacity, lambda rec: rec[0])
+    runs, current = [], None
+    for rec in records:
+        if not heap.is_full:
+            heap.fill(rec)
+            continue
+        if current is None:
+            current = []
+            runs.append(current)
+        emitted, closed = heap.push_pop(rec)
+        current.append(emitted)
+        if closed:
+            current = None
+    if len(heap):
+        if current is None:
+            runs.append([])
+        runs[-1].extend(heap.drain_current())
+        if heap.has_next_run():
+            runs.append(list(heap.drain_next()))
+    return runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=12), max_size=80),
+    st.integers(min_value=1, max_value=9),
+)
+def test_run_generation_matches_the_two_heap_structure(keys, capacity):
+    backend = make_backend("blocked_memory", PersistentMemoryDevice())
+    collection = PersistentCollection(name="rs", backend=backend)
+    collection.extend((key,) + (uid,) * 9 for uid, key in enumerate(keys))
+    runset = RunSet(backend, prefix="rs-run")
+    generate_runs_replacement_selection(collection, runset, capacity, 0)
+    assert [run.records for run in runset.runs] == reference_runs(
+        collection.records, capacity
+    )

@@ -1,5 +1,6 @@
 """Co-scheduling: per-device serialization, equivalence, timing."""
 
+import collections
 import threading
 
 import pytest
@@ -8,6 +9,7 @@ from repro import MemoryBudget, Query, Session, ShardSet
 from repro.storage.collection import PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workload_mgmt import DeviceWorkerPool, QueryStatus
+from repro.workload_mgmt.scheduler import WorkloadScheduler
 from repro.workloads.generator import (
     make_sharded_join_inputs,
     make_sharded_sort_input,
@@ -209,4 +211,95 @@ class TestCoScheduling:
                 Query.scan(bad).filter(lambda r: True, selectivity=1.0)
             )
             assert len(follow_up.result().records) == 100
+        assert session.bufferpool.holders() == {}
+
+
+class TestRunWorkloadDispatch:
+    """A queued batch member admitted by a finishing query runs once.
+
+    ``run_workload`` admits its batch with dispatch deferred and then
+    starts the admitted handles one by one.  A query that finishes in the
+    meantime releases its share and admits the first queued member on a
+    worker thread, then plans and dispatches it.  The test holds that
+    worker inside ``_finalize`` until ``start`` has been called for the
+    member, the interleaving in which ``start`` used to dispatch it a
+    second time.
+    """
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    def test_release_admitted_member_runs_exactly_once(self, monkeypatch, sharded):
+        if sharded:
+            target = ShardSet.create(2)
+            data = make_sharded_sort_input(400, target, name="DD")
+        else:
+            target = ShardSet.create(1).backends[0]
+            data = build_plain(target, "DD", range(400, 0, -1))
+        share = 16_000
+        queries = [
+            {
+                "query": Query.scan(data)
+                .filter(lambda r, i=i: r[0] % 6 != i, selectivity=5 / 6)
+                .order_by(),
+                "memory_bytes": share,
+                "tag": f"q{i}",
+            }
+            for i in range(6)
+        ]
+
+        caller = threading.current_thread()
+        worker_in_finalize = threading.Event()
+        member_started = threading.Event()
+        runs = collections.Counter()
+        original_finalize = WorkloadScheduler._finalize
+        original_start = WorkloadScheduler.start
+        original_run_single = WorkloadScheduler._run_single
+        original_run_sharded = WorkloadScheduler._run_sharded
+
+        def finalize(self, handle):
+            if threading.current_thread() is not caller:
+                worker_in_finalize.set()
+                member_started.wait(timeout=10)
+            original_finalize(self, handle)
+
+        def start(self, handle):
+            if handle.tag != "q3":
+                original_start(self, handle)
+                return
+            # q3 is the first member the budget queues: let a finishing
+            # query admit it on a worker thread and stall there before
+            # dispatching it.
+            worker_in_finalize.wait(timeout=10)
+            original_start(self, handle)
+            member_started.set()
+
+        def counted(original):
+            def run(self, handle):
+                runs[handle.tag] += 1
+                original(self, handle)
+
+            return run
+
+        monkeypatch.setattr(WorkloadScheduler, "_finalize", finalize)
+        monkeypatch.setattr(WorkloadScheduler, "start", start)
+        monkeypatch.setattr(
+            WorkloadScheduler, "_run_single", counted(original_run_single)
+        )
+        monkeypatch.setattr(
+            WorkloadScheduler, "_run_sharded", counted(original_run_sharded)
+        )
+
+        with Session(target, MemoryBudget.from_bytes(3 * share)) as session:
+            result = session.run_workload(queries, policy="queue")
+            assert worker_in_finalize.is_set() and member_started.is_set()
+            errors = [handle.error for handle in result.handles]
+            assert errors == [None] * len(queries)
+            assert [h.status for h in result.handles] == [QueryStatus.DONE] * 6
+            assert runs == {item["tag"]: 1 for item in queries}
+            monkeypatch.undo()
+            serial = [
+                session.submit(item["query"], memory_bytes=share).result()
+                for item in queries
+            ]
+        for handle, serial_result in zip(result.handles, serial):
+            assert handle.result().records == serial_result.records
         assert session.bufferpool.holders() == {}
