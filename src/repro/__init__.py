@@ -109,7 +109,6 @@ from repro.query import (
     Query,
     QueryExecutor,
     QueryResult,
-    execute_query,
 )
 from repro.shard import (
     HashPartitioner,
@@ -120,7 +119,6 @@ from repro.shard import (
     ShardedQueryExecutor,
     ShardedQueryResult,
     ShardSet,
-    execute_sharded_query,
 )
 from repro.session import Session
 from repro.workload_mgmt import (
@@ -183,7 +181,6 @@ __all__ = [
     "ADMISSION_POLICIES",
     "CalibrationAggregator",
     "DeviceWorkerPool",
-    "execute_query",
     "ShardSet",
     "ShardedCollection",
     "HashPartitioner",
@@ -192,6 +189,5 @@ __all__ = [
     "ShardedPhysicalPlan",
     "ShardedQueryExecutor",
     "ShardedQueryResult",
-    "execute_sharded_query",
     "__version__",
 ]

@@ -7,20 +7,15 @@ software overhead each operation carries.  The backend never sees record
 payloads -- only byte counts -- because all pricing in the paper is in
 cachelines.
 
-Two data-path shapes are offered:
-
-* the per-call API, :meth:`PersistenceBackend.append` /
-  :meth:`PersistenceBackend.read`, charging one transfer at a time; and
-* the bulk API, :meth:`PersistenceBackend.append_bulk` /
-  :meth:`PersistenceBackend.read_bulk`, charging ``count`` identical
-  block-sized transfers in one call.  The bulk API is cost-equivalent to
-  the corresponding sequence of per-call operations (identical device
-  counters and store stats) but funnels into a single vectorized
-  :class:`~repro.pmem.device.PersistentMemoryDevice` accounting call, so
-  the Python-level overhead is O(1) per batch instead of O(count).
-  Subclasses vectorize via the ``_charge_append_bulk`` /
-  ``_charge_read_bulk`` hooks; the base class provides per-call fallbacks
-  so third-party backends stay correct without overriding them.
+Every data-path charge takes a ``count``:
+:meth:`PersistenceBackend.append` / :meth:`PersistenceBackend.read`
+price ``count`` identical transfers of ``nbytes`` each in one call,
+through one :class:`~repro.pmem.device.PersistentMemoryDevice` charge
+per direction.  A call with ``count=k`` leaves the device counters and
+the store stats exactly as ``k`` calls with ``count=1`` would, so a
+caller charging whole block batches does O(1) Python work per batch.
+Subclasses implement one hook per direction, ``_charge_append`` and
+``_charge_read``, which receive the count.
 """
 
 from __future__ import annotations
@@ -97,54 +92,27 @@ class PersistenceBackend(ABC):
     # ------------------------------------------------------------------ #
     # Data-path operations: the cost policy lives in the subclasses.
     # ------------------------------------------------------------------ #
-    def append(self, store_id: str, nbytes: int) -> None:
-        """Append ``nbytes`` of payload to the store, charging device writes."""
+    def append(self, store_id: str, nbytes: int, count: int = 1) -> None:
+        """Append ``count`` chunks of ``nbytes`` payload, charging device writes."""
         if nbytes < 0:
-            raise ConfigurationError("append size must be non-negative")
-        stats = self._require(store_id)
-        if nbytes:
-            self._charge_append(stats, nbytes)
-        stats.logical_bytes += nbytes
-        stats.append_calls += 1
-
-    def read(self, store_id: str, nbytes: int) -> None:
-        """Read ``nbytes`` of payload from the store, charging device reads."""
-        if nbytes < 0:
-            raise ConfigurationError("read size must be non-negative")
-        stats = self._require(store_id)
-        if nbytes:
-            self._charge_read(stats, nbytes)
-        stats.read_calls += 1
-
-    def append_bulk(self, store_id: str, chunk_bytes: int, count: int) -> None:
-        """Append ``count`` chunks of ``chunk_bytes`` each, charged in bulk.
-
-        Cost-equivalent to ``count`` sequential :meth:`append` calls of
-        ``chunk_bytes`` each.
-        """
-        if chunk_bytes < 0:
             raise ConfigurationError("append size must be non-negative")
         if count < 0:
             raise ConfigurationError("append count must be non-negative")
         stats = self._require(store_id)
-        if count and chunk_bytes:
-            self._charge_append_bulk(stats, chunk_bytes, count)
-        stats.logical_bytes += chunk_bytes * count
+        if count and nbytes:
+            self._charge_append(stats, nbytes, count)
+        stats.logical_bytes += nbytes * count
         stats.append_calls += count
 
-    def read_bulk(self, store_id: str, chunk_bytes: int, count: int) -> None:
-        """Read ``count`` chunks of ``chunk_bytes`` each, charged in bulk.
-
-        Cost-equivalent to ``count`` sequential :meth:`read` calls of
-        ``chunk_bytes`` each.
-        """
-        if chunk_bytes < 0:
+    def read(self, store_id: str, nbytes: int, count: int = 1) -> None:
+        """Read ``count`` chunks of ``nbytes`` payload, charging device reads."""
+        if nbytes < 0:
             raise ConfigurationError("read size must be non-negative")
         if count < 0:
             raise ConfigurationError("read count must be non-negative")
         stats = self._require(store_id)
-        if count and chunk_bytes:
-            self._charge_read_bulk(stats, chunk_bytes, count)
+        if count and nbytes:
+            self._charge_read(stats, nbytes, count)
         stats.read_calls += count
 
     def truncate(self, store_id: str) -> None:
@@ -170,39 +138,17 @@ class PersistenceBackend(ABC):
     # Hooks for subclasses.
     # ------------------------------------------------------------------ #
     @abstractmethod
-    def _charge_append(self, stats: StoreStats, nbytes: int) -> None:
-        """Charge the device for appending ``nbytes`` to ``stats``."""
-
-    @abstractmethod
-    def _charge_read(self, stats: StoreStats, nbytes: int) -> None:
-        """Charge the device for reading ``nbytes`` from ``stats``."""
-
-    def _charge_append_bulk(
-        self, stats: StoreStats, chunk_bytes: int, count: int
-    ) -> None:
+    def _charge_append(self, stats: StoreStats, chunk_bytes: int, count: int) -> None:
         """Charge the device for ``count`` appends of ``chunk_bytes`` each.
 
-        The public :meth:`append_bulk` applies the ``logical_bytes`` update
-        afterwards, so the hook must leave ``stats.logical_bytes`` at its
-        pre-bulk value on return.  The fallback replays the per-call hook,
-        advancing ``logical_bytes`` between chunks exactly like a sequence
-        of :meth:`append` calls would, then restores it (even when a chunk
-        charge raises, e.g. on a capacity-bounded device).
+        :meth:`append` applies the ``logical_bytes`` update afterwards, so
+        the hook sees (and must leave) ``stats.logical_bytes`` at its
+        value before the first chunk.
         """
-        before = stats.logical_bytes
-        try:
-            for _ in range(count):
-                self._charge_append(stats, chunk_bytes)
-                stats.logical_bytes += chunk_bytes
-        finally:
-            stats.logical_bytes = before
 
-    def _charge_read_bulk(
-        self, stats: StoreStats, chunk_bytes: int, count: int
-    ) -> None:
+    @abstractmethod
+    def _charge_read(self, stats: StoreStats, chunk_bytes: int, count: int) -> None:
         """Charge the device for ``count`` reads of ``chunk_bytes`` each."""
-        for _ in range(count):
-            self._charge_read(stats, chunk_bytes)
 
     def _on_create(self, stats: StoreStats) -> None:
         """Optional subclass hook run when a store is created."""
@@ -233,9 +179,8 @@ class PersistenceBackend(ABC):
         """Grow the store's allocation to cover ``needed`` logical bytes.
 
         Allocates whole granules (blocks, filesystem records, extents) in
-        one shot -- the vectorized equivalent of the per-call ``while
-        physical < needed: _grow_physical(granule)`` loops.  Returns the
-        number of granules allocated (0 when the store already fits).
+        one shot.  Returns the number of granules allocated (0 when the
+        store already fits).
         """
         if stats.physical_bytes >= needed:
             return 0

@@ -64,34 +64,21 @@ class DynamicArrayBackend(PersistenceBackend):
         stats.extra["expansions"] = 0
         stats.extra["copied_bytes"] = 0
 
-    def _charge_append(self, stats: StoreStats, nbytes: int) -> None:
-        needed = stats.logical_bytes + nbytes
-        while stats.physical_bytes < needed:
-            self._expand(stats, stats.logical_bytes)
-        self.device.write(nbytes)
-
-    def _charge_read(self, stats: StoreStats, nbytes: int) -> None:
-        self.device.read(nbytes)
-
-    def _charge_append_bulk(
-        self, stats: StoreStats, chunk_bytes: int, count: int
-    ) -> None:
+    def _charge_append(self, stats: StoreStats, chunk_bytes: int, count: int) -> None:
         # Replay the expansion schedule of ``count`` sequential appends: an
         # expansion triggered by chunk i copies the live bytes accumulated
-        # by chunks 0..i-1, so the copy charges match the per-call path
-        # exactly.  Expansions are logarithmic in the total growth; the
-        # payload itself is charged in one vectorized write.
+        # by chunks 0..i-1, exactly as ``count`` one-chunk appends would.
+        # Expansions are logarithmic in the total growth; the payload
+        # itself is charged in one counted write.
         start = stats.logical_bytes
         end = start + chunk_bytes * count
         while stats.physical_bytes < end:
             fit = min(count, (stats.physical_bytes - start) // chunk_bytes)
             self._expand(stats, start + fit * chunk_bytes)
-        self.device.write_bulk(chunk_bytes, count)
+        self.device.write(chunk_bytes, count=count)
 
-    def _charge_read_bulk(
-        self, stats: StoreStats, chunk_bytes: int, count: int
-    ) -> None:
-        self.device.read_bulk(chunk_bytes, count)
+    def _charge_read(self, stats: StoreStats, chunk_bytes: int, count: int) -> None:
+        self.device.read(chunk_bytes, count=count)
 
     def _expand(self, stats: StoreStats, live: int) -> None:
         """Double the capacity and copy the ``live`` payload bytes over.

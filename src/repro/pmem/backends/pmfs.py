@@ -53,33 +53,18 @@ class PmfsBackend(PersistenceBackend):
         if self.allocation_extent_bytes <= 0:
             raise ConfigurationError("allocation_extent_bytes must be positive")
 
-    def _charge_append(self, stats: StoreStats, nbytes: int) -> None:
-        needed = stats.logical_bytes + nbytes
-        while stats.physical_bytes < needed:
-            self._grow_physical(stats, self.allocation_extent_bytes)
-        # File content is written with store instructions at byte
-        # granularity; only the payload itself is transferred.
-        self.device.write(nbytes)
-        self.device.overhead(self.file_call_overhead_ns, label="pmfs_call")
-
-    def _charge_read(self, stats: StoreStats, nbytes: int) -> None:
-        self.device.read(nbytes)
-        self.device.overhead(self.file_call_overhead_ns, label="pmfs_call")
-
-    def _charge_append_bulk(
-        self, stats: StoreStats, chunk_bytes: int, count: int
-    ) -> None:
+    def _charge_append(self, stats: StoreStats, chunk_bytes: int, count: int) -> None:
         needed = stats.logical_bytes + chunk_bytes * count
         self._grow_to(stats, needed, self.allocation_extent_bytes)
-        self.device.write_bulk(chunk_bytes, count)
-        self.device.overhead_bulk(
-            self.file_call_overhead_ns, count, label="pmfs_call"
+        # File content is written with store instructions at byte
+        # granularity; only the payload itself is transferred.
+        self.device.write(chunk_bytes, count=count)
+        self.device.overhead(
+            self.file_call_overhead_ns, label="pmfs_call", count=count
         )
 
-    def _charge_read_bulk(
-        self, stats: StoreStats, chunk_bytes: int, count: int
-    ) -> None:
-        self.device.read_bulk(chunk_bytes, count)
-        self.device.overhead_bulk(
-            self.file_call_overhead_ns, count, label="pmfs_call"
+    def _charge_read(self, stats: StoreStats, chunk_bytes: int, count: int) -> None:
+        self.device.read(chunk_bytes, count=count)
+        self.device.overhead(
+            self.file_call_overhead_ns, label="pmfs_call", count=count
         )

@@ -55,46 +55,23 @@ class RamDiskBackend(PersistenceBackend):
         blocks = -(-nbytes // self.fs_block_bytes)  # ceiling division
         return blocks * self.fs_block_bytes
 
-    def _charge_append(self, stats: StoreStats, nbytes: int) -> None:
-        physical = self._rounded(nbytes)
-        needed = stats.logical_bytes + nbytes
-        while stats.physical_bytes < needed:
-            self._grow_physical(stats, self.fs_block_bytes)
-        # Writes are synchronous to the RAM-disk region and block-granular:
-        # a partial record still writes the whole record.
-        self.device.write(physical)
-        self.device.overhead(self.syscall_overhead_ns, label="syscall")
-        stats.extra["padded_write_bytes"] = (
-            stats.extra.get("padded_write_bytes", 0) + (physical - nbytes)
-        )
-
-    def _charge_read(self, stats: StoreStats, nbytes: int) -> None:
-        physical = self._rounded(nbytes)
-        self.device.read(physical)
-        self.device.overhead(self.syscall_overhead_ns, label="syscall")
-        stats.extra["padded_read_bytes"] = (
-            stats.extra.get("padded_read_bytes", 0) + (physical - nbytes)
-        )
-
-    def _charge_append_bulk(
-        self, stats: StoreStats, chunk_bytes: int, count: int
-    ) -> None:
+    def _charge_append(self, stats: StoreStats, chunk_bytes: int, count: int) -> None:
         physical = self._rounded(chunk_bytes)
         needed = stats.logical_bytes + chunk_bytes * count
         self._grow_to(stats, needed, self.fs_block_bytes)
-        self.device.write_bulk(physical, count)
-        self.device.overhead_bulk(self.syscall_overhead_ns, count, label="syscall")
+        # Writes are synchronous to the RAM-disk region and block-granular:
+        # a partial record still writes the whole record.
+        self.device.write(physical, count=count)
+        self.device.overhead(self.syscall_overhead_ns, label="syscall", count=count)
         stats.extra["padded_write_bytes"] = (
             stats.extra.get("padded_write_bytes", 0)
             + (physical - chunk_bytes) * count
         )
 
-    def _charge_read_bulk(
-        self, stats: StoreStats, chunk_bytes: int, count: int
-    ) -> None:
+    def _charge_read(self, stats: StoreStats, chunk_bytes: int, count: int) -> None:
         physical = self._rounded(chunk_bytes)
-        self.device.read_bulk(physical, count)
-        self.device.overhead_bulk(self.syscall_overhead_ns, count, label="syscall")
+        self.device.read(physical, count=count)
+        self.device.overhead(self.syscall_overhead_ns, label="syscall", count=count)
         stats.extra["padded_read_bytes"] = (
             stats.extra.get("padded_read_bytes", 0)
             + (physical - chunk_bytes) * count

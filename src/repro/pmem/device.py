@@ -16,6 +16,9 @@ directly; they call :meth:`PersistentMemoryDevice.read`,
 :meth:`~PersistentMemoryDevice.write` and
 :meth:`~PersistentMemoryDevice.overhead`, which keeps the accounting in one
 place and guarantees the invariant ``elapsed == transfer + overhead``.
+Each of the three takes a ``count`` of identical accesses, so a backend
+charging a batch of blocks makes one call per direction, not one per
+block.
 """
 
 from __future__ import annotations
@@ -117,47 +120,15 @@ class PersistentMemoryDevice:
         self._allocated_bytes = 0
 
     # ------------------------------------------------------------------ #
-    # Accounting primitives used by the persistence backends.
+    # Accounting primitives used by the persistence backends.  Each call
+    # charges ``count`` identical accesses; the latency model is linear
+    # per cacheline, so one call with ``count=k`` leaves the counters and
+    # the wear map exactly as ``k`` calls with ``count=1`` would.
     # ------------------------------------------------------------------ #
-    def read(self, nbytes: int | float, address: int | None = None) -> float:
-        """Charge a read of ``nbytes`` bytes; returns the cost in ns."""
-        if nbytes < 0:
-            raise ConfigurationError("cannot read a negative number of bytes")
-        cachelines = self.geometry.bytes_to_cachelines(nbytes)
-        cost = self.latency.read_cost_ns(cachelines)
-        self._counters.record_read(cachelines, nbytes, cost)
-        return cost
-
-    def write(self, nbytes: int | float, address: int | None = None) -> float:
-        """Charge a write of ``nbytes`` bytes; returns the cost in ns."""
-        if nbytes < 0:
-            raise ConfigurationError("cannot write a negative number of bytes")
-        cachelines = self.geometry.bytes_to_cachelines(nbytes)
-        cost = self.latency.write_cost_ns(cachelines)
-        self._counters.record_write(cachelines, nbytes, cost)
-        if address is not None:
-            region = address // self._wear_region_bytes
-            self._wear[region] = self._wear.get(region, 0.0) + cachelines
-        return cost
-
-    def overhead(self, cost_ns: float, label: str = "other") -> float:
-        """Charge a software overhead (system call, allocator work, ...)."""
-        if cost_ns < 0:
-            raise ConfigurationError("overhead must be non-negative")
-        self._counters.record_overhead(cost_ns, label)
-        return cost_ns
-
-    # ------------------------------------------------------------------ #
-    # Vectorized accounting: one call charging ``count`` identical
-    # accesses.  The latency model is linear per cacheline, so these are
-    # cost-equivalent to ``count`` single calls -- same counters, same
-    # ``elapsed == transfer + overhead`` invariant, same wear-map updates
-    # -- but with O(1) Python work instead of O(count).
-    # ------------------------------------------------------------------ #
-    def read_bulk(
-        self, nbytes: int | float, count: int, address: int | None = None
+    def read(
+        self, nbytes: int | float, *, count: int = 1, address: int | None = None
     ) -> float:
-        """Charge ``count`` reads of ``nbytes`` each; returns total cost in ns."""
+        """Charge ``count`` reads of ``nbytes`` each; returns the cost in ns."""
         if nbytes < 0:
             raise ConfigurationError("cannot read a negative number of bytes")
         if count < 0:
@@ -166,13 +137,13 @@ class PersistentMemoryDevice:
             return 0.0
         cachelines = self.geometry.bytes_to_cachelines(nbytes)
         cost = self.latency.read_cost_ns(cachelines)
-        self._counters.record_read_bulk(cachelines, nbytes, cost, count)
+        self._counters.record_read(cachelines, nbytes, cost, count)
         return cost * count
 
-    def write_bulk(
-        self, nbytes: int | float, count: int, address: int | None = None
+    def write(
+        self, nbytes: int | float, *, count: int = 1, address: int | None = None
     ) -> float:
-        """Charge ``count`` writes of ``nbytes`` each; returns total cost in ns."""
+        """Charge ``count`` writes of ``nbytes`` each; returns the cost in ns."""
         if nbytes < 0:
             raise ConfigurationError("cannot write a negative number of bytes")
         if count < 0:
@@ -181,16 +152,16 @@ class PersistentMemoryDevice:
             return 0.0
         cachelines = self.geometry.bytes_to_cachelines(nbytes)
         cost = self.latency.write_cost_ns(cachelines)
-        self._counters.record_write_bulk(cachelines, nbytes, cost, count)
+        self._counters.record_write(cachelines, nbytes, cost, count)
         if address is not None:
             region = address // self._wear_region_bytes
             self._wear[region] = self._wear.get(region, 0.0) + cachelines * count
         return cost * count
 
-    def overhead_bulk(
-        self, cost_ns: float, count: int, label: str = "other"
+    def overhead(
+        self, cost_ns: float, label: str = "other", *, count: int = 1
     ) -> float:
-        """Charge ``count`` identical software overheads in one update."""
+        """Charge ``count`` software overheads (system call, allocator work, ...)."""
         if cost_ns < 0:
             raise ConfigurationError("overhead must be non-negative")
         if count < 0:

@@ -72,7 +72,6 @@ from repro.query.executor import (
     NodeExecution,
     QueryExecutor,
     QueryResult,
-    execute_query,
 )
 from repro.query.physical import (
     BOUNDARY_POLICIES,
@@ -121,5 +120,4 @@ __all__ = [
     "QueryExecutor",
     "QueryResult",
     "NodeExecution",
-    "execute_query",
 ]

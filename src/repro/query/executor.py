@@ -273,28 +273,3 @@ class QueryExecutor:
             execution.details["reconstructions"] = state.context.reconstruction_count(
                 name
             )
-
-
-def execute_query(
-    query,
-    backend: PersistenceBackend,
-    budget: MemoryBudget,
-    bufferpool: Bufferpool | None = None,
-    materialize_result: bool = False,
-) -> QueryResult:
-    """Deprecated shorthand; use :class:`repro.session.Session` instead."""
-    import warnings
-
-    warnings.warn(
-        "repro.query.execute_query() is deprecated; use "
-        "repro.Session(backend, budget).query(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    executor = QueryExecutor(
-        backend,
-        budget,
-        bufferpool=bufferpool,
-        materialize_result=materialize_result,
-    )
-    return executor.execute(query)

@@ -21,11 +21,7 @@ persistent-memory devices:
 """
 
 from repro.shard.collection import ShardedCollection, ShardSet
-from repro.shard.executor import (
-    ShardedQueryExecutor,
-    ShardedQueryResult,
-    execute_sharded_query,
-)
+from repro.shard.executor import ShardedQueryExecutor, ShardedQueryResult
 from repro.shard.partition import (
     HashPartitioner,
     Partitioner,
@@ -54,5 +50,4 @@ __all__ = [
     "find_sharded_collections",
     "ShardedQueryExecutor",
     "ShardedQueryResult",
-    "execute_sharded_query",
 ]

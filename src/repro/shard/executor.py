@@ -344,25 +344,3 @@ class ShardedQueryExecutor:
                 merged.extend(output.records)
         merged.seal()
         return merged
-
-
-def execute_sharded_query(
-    query,
-    shard_set: ShardSet,
-    budget: MemoryBudget,
-    bufferpool: Bufferpool | None = None,
-    max_workers: int | None = None,
-) -> ShardedQueryResult:
-    """Deprecated shorthand; use :class:`repro.session.Session` instead."""
-    import warnings
-
-    warnings.warn(
-        "repro.shard.execute_sharded_query() is deprecated; use "
-        "repro.Session(shard_set, budget).query(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    executor = ShardedQueryExecutor(
-        shard_set, budget, bufferpool=bufferpool, max_workers=max_workers
-    )
-    return executor.execute(query)

@@ -9,6 +9,7 @@ and rewrites the whole data set.
 from __future__ import annotations
 
 import heapq
+from typing import Iterable
 
 from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
@@ -17,30 +18,30 @@ from repro.storage.runs import RunSet, merge_runs
 
 
 def generate_runs_replacement_selection(
-    collection: PersistentCollection,
+    blocks: Iterable[list[tuple]],
     runset: RunSet,
     capacity_records: int,
     key_index: int,
-    start: int = 0,
-    stop: int | None = None,
 ) -> int:
-    """Generate sorted runs from a slice of ``collection`` into ``runset``.
+    """Generate sorted runs from the records of ``blocks`` into ``runset``.
 
-    Returns the number of runs produced.  Shared by external mergesort and
-    the mergesort segment of segment sort.  Two-heap replacement
-    selection over ``capacity_records`` entries of ``(key, sequence,
-    record)``, each key read once: a record at least as large as the one
-    just emitted joins the current run, a smaller one is parked for the
-    next run, and the run closes when the current heap empties.  The
-    input is consumed block by block and emitted records are buffered per
-    run, so both directions go through the batched collection I/O path.
+    Returns the number of runs produced.  Shared by external mergesort,
+    the mergesort segment of segment sort (both pass a
+    ``collection.scan_blocks(...)``) and hybrid sort's replacement region
+    (which passes the records its selection region displaced).  Two-heap
+    replacement selection over ``capacity_records`` entries of ``(key,
+    sequence, record)``, each key read once: a record at least as large
+    as the one just emitted joins the current run, a smaller one is
+    parked for the next run, and the run closes when the current heap
+    empties.  Emitted records are buffered per run, so runs are written
+    through the batched collection I/O path.
     """
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
     current: list[tuple[int, int, tuple]] = []
     parked: list[tuple[int, int, tuple]] = []
     run: AppendBuffer | None = None
     sequence = 0
-    for block in collection.scan_blocks(start=start, stop=stop):
+    for block in blocks:
         for record in block:
             sequence += 1
             key = record[key_index]
@@ -90,7 +91,10 @@ class ExternalMergeSort(SortAlgorithm):
             self.backend, schema=self.schema, prefix=f"{collection.name}-exms"
         )
         generate_runs_replacement_selection(
-            collection, runset, self.workspace_records, self.schema.key_index
+            collection.scan_blocks(),
+            runset,
+            self.workspace_records,
+            self.schema.key_index,
         )
         merge_passes = merge_runs(
             runset.runs,

@@ -14,9 +14,13 @@ position so that records with equal keys have a stable, strict total
 order -- the write-limited sorts rely on that order to guarantee that
 consecutive scans never select the same record twice.
 
-:func:`selection_pass` is one scan of the multi-pass selection sorts
-(selection sort, lazy sort and segment sort's selection segment) with
-the bounded max-heap inlined into the loop.
+The sorts run them as inlined loops: :func:`selection_pass` is one scan
+through the bounded max-heap (selection sort, lazy sort, segment sort's
+selection segment and hybrid sort's selection region), and
+:func:`repro.sorts.external_mergesort.generate_runs_replacement_selection`
+is the two-heap run generator.  :class:`BoundedMaxHeap` and
+:class:`ReplacementSelectionHeap` are the plain object forms; the tests
+hold the inlined loops to them.
 """
 
 from __future__ import annotations

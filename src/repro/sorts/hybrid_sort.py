@@ -17,8 +17,9 @@ from __future__ import annotations
 from repro.exceptions import ConfigurationError
 from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
-from repro.sorts.heaps import BoundedMaxHeap, ReplacementSelectionHeap
-from repro.storage.collection import AppendBuffer, PersistentCollection
+from repro.sorts.external_mergesort import generate_runs_replacement_selection
+from repro.sorts.heaps import selection_pass
+from repro.storage.collection import PersistentCollection
 from repro.storage.runs import RunSet, merge_runs
 
 #: Default split of M between the selection and replacement regions.
@@ -65,54 +66,26 @@ class HybridSort(SortAlgorithm):
             return SortResult(output=output, io=None)
 
         selection_capacity, replacement_capacity = self._region_capacities()
-        selection_region = BoundedMaxHeap(selection_capacity)
-        replacement_region = ReplacementSelectionHeap(
-            replacement_capacity, self.key_fn
-        )
         runset = RunSet(
             self.backend, schema=self.schema, prefix=f"{collection.name}-hybs"
         )
-        current_run: AppendBuffer | None = None
-
-        position = 0
-        for block in collection.scan_blocks():
-            for record in block:
-                displaced = selection_region.offer(
-                    self.key_fn(record), position, record
-                )
-                position += 1
-                if displaced is None:
-                    continue
-                # The displaced record (either an evicted former minimum or
-                # the incoming record itself) moves to the replacement region.
-                if not replacement_region.is_full:
-                    replacement_region.fill(displaced)
-                    continue
-                if current_run is None:
-                    current_run = AppendBuffer(runset.new_run())
-                emitted, run_closed = replacement_region.push_pop(displaced)
-                current_run.append(emitted)
-                if run_closed:
-                    current_run.seal()
-                    current_run = None
-
-        # Algorithm 1, lines 17-19: flush the three in-memory regions.
-        # Rs holds the globally smallest records, so it becomes the output
-        # prefix without an intermediate run.
-        output.extend(selection_region.drain_sorted())
-        if replacement_region.current_size:
-            if current_run is None:
-                current_run = AppendBuffer(runset.new_run())
-            current_run.extend(replacement_region.drain_current())
-            current_run.seal()
-            current_run = None
-        elif current_run is not None:
-            current_run.seal()
-            current_run = None
-        if replacement_region.has_next_run():
-            tail_run = runset.new_run()
-            tail_run.extend(replacement_region.drain_next())
-            tail_run.seal()
+        # One scan through the selection region Rs keeps the globally
+        # smallest records; every record it displaces (an evicted former
+        # maximum or the incoming record itself), in the order it leaves
+        # Rs, flows through the replacement region Rr, which cuts runs.
+        displaced: list[tuple] = []
+        selected, _ = selection_pass(
+            collection.scan_blocks(),
+            selection_capacity,
+            self.schema.key_index,
+            spill=displaced,
+        )
+        generate_runs_replacement_selection(
+            [displaced], runset, replacement_capacity, self.schema.key_index
+        )
+        # Algorithm 1, lines 17-19: Rs becomes the output prefix without
+        # an intermediate run.
+        output.extend(selected)
 
         # Line 20: merge all remaining runs behind the Rs prefix.  Every run
         # record is >= the largest record of Rs (Rs only ever evicted its

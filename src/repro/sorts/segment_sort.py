@@ -22,7 +22,7 @@ from repro.sorts.base import SortAlgorithm, SortResult
 from repro.sorts.external_mergesort import generate_runs_replacement_selection
 from repro.sorts.selection_sort import selection_sort_stream
 from repro.storage.collection import PersistentCollection
-from repro.storage.runs import RunSet, merge_runs, merge_streams, scan_stream
+from repro.storage.runs import RunSet, merge_runs, merge_streams
 
 
 class SegmentSort(SortAlgorithm):
@@ -74,12 +74,10 @@ class SegmentSort(SortAlgorithm):
         # Write-incurring segment: replacement-selection run generation.
         if boundary > 0:
             generate_runs_replacement_selection(
-                collection,
+                collection.scan_blocks(stop=boundary),
                 runset,
                 self.workspace_records,
                 self.schema.key_index,
-                start=0,
-                stop=boundary,
             )
 
         merge_passes = 0
@@ -124,7 +122,7 @@ class SegmentSort(SortAlgorithm):
                     key=self.key_fn,
                 )
                 runs = [reduced_output]
-            streams = [scan_stream(run) for run in runs]
+            streams = [run.scan_blocks_flat() for run in runs]
             streams.append(
                 selection_sort_stream(
                     collection,

@@ -5,9 +5,6 @@ from repro.storage.collection import (
     AppendBuffer,
     CollectionStatus,
     PersistentCollection,
-    io_batching,
-    io_batching_enabled,
-    set_io_batching,
 )
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.runs import RunSet, merge_runs
@@ -18,9 +15,6 @@ __all__ = [
     "AppendBuffer",
     "CollectionStatus",
     "PersistentCollection",
-    "io_batching",
-    "io_batching_enabled",
-    "set_io_batching",
     "Bufferpool",
     "MemoryBudget",
     "RunSet",

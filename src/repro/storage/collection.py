@@ -20,24 +20,24 @@ Collections can be in one of three states, mirroring the paper's
     replaying the control-flow graph from the oldest materialized ancestor
     (Section 3.1).
 
-Two I/O shapes are offered on top of these states.  The per-record API
-(:meth:`PersistentCollection.append` / :meth:`PersistentCollection.scan`)
-charges the backend one block at a time as records stream through.  The
-batched API (:meth:`PersistentCollection.extend` /
+Records move in one of two shapes, priced through the same counted
+backend charge (:meth:`~repro.pmem.backends.base.PersistenceBackend.append`
+/ :meth:`~repro.pmem.backends.base.PersistenceBackend.read`).  The
+per-record API (:meth:`PersistentCollection.append` /
+:meth:`PersistentCollection.scan`) charges one block as the record that
+completes it goes by.  The batched API
+(:meth:`PersistentCollection.extend` /
 :meth:`PersistentCollection.scan_blocks`, plus the :class:`AppendBuffer`
-helper for incremental producers) groups whole block batches into single
-vectorized backend calls.  Both shapes are cost-equivalent -- identical
-device counters for the same record traffic -- the batched one just does
-O(1) Python work per block batch instead of O(records); the
-:func:`io_batching` switch can force the per-record path for equivalence
-testing.
+helper for incremental producers) charges a whole batch of blocks with
+one counted call.  For the same record traffic both leave identical
+device counters; the batched one does O(1) Python work per block batch
+instead of O(records).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.exceptions import CollectionStateError, ConfigurationError
@@ -46,43 +46,11 @@ from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
 _anonymous_counter = itertools.count()
 
-#: Blocks charged per vectorized backend call while scanning in batches.
-DEFAULT_CHARGE_BATCH_BLOCKS = 64
+#: Blocks charged per counted backend call while scanning in batches.
+CHARGE_BATCH_BLOCKS = 64
 
 #: Records an :class:`AppendBuffer` accumulates before flushing.
 DEFAULT_APPEND_BUFFER_RECORDS = 512
-
-_io_batching_enabled = True
-
-
-def io_batching_enabled() -> bool:
-    """Whether the batched APIs use vectorized backend charging."""
-    return _io_batching_enabled
-
-
-def set_io_batching(enabled: bool) -> bool:
-    """Toggle batched charging globally; returns the previous setting.
-
-    With batching disabled, :meth:`PersistentCollection.extend` degrades to
-    per-record :meth:`PersistentCollection.append` calls and
-    :meth:`PersistentCollection.scan_blocks` charges one backend call per
-    block -- the exact charge sequence of the per-record APIs.  Used by the
-    equivalence tests and benchmarks to compare both paths.
-    """
-    global _io_batching_enabled
-    previous = _io_batching_enabled
-    _io_batching_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def io_batching(enabled: bool):
-    """Context manager scoping :func:`set_io_batching` to a block."""
-    previous = set_io_batching(enabled)
-    try:
-        yield
-    finally:
-        set_io_batching(previous)
 
 
 def _next_anonymous_name() -> str:
@@ -227,10 +195,6 @@ class PersistentCollection:
         is charged once per batch instead of once per block, so the Python
         overhead no longer scales with the record count.
         """
-        if not _io_batching_enabled:
-            for record in records:
-                self.append(record)
-            return
         if not isinstance(records, list):
             records = list(records)
         if not records:
@@ -249,7 +213,7 @@ class PersistentCollection:
             total = self._pending_bytes + len(records) * self.schema.record_bytes
             full_blocks, self._pending_bytes = divmod(total, self.block_bytes)
             if full_blocks:
-                self.backend.append_bulk(self.name, self.block_bytes, full_blocks)
+                self.backend.append(self.name, self.block_bytes, full_blocks)
 
     def flush(self) -> None:
         """Flush any partially filled block to the backend."""
@@ -313,10 +277,7 @@ class PersistentCollection:
             self.backend.read(self.name, pending_read)
 
     def scan_blocks(
-        self,
-        start: int = 0,
-        stop: int | None = None,
-        charge_batch_blocks: int = DEFAULT_CHARGE_BATCH_BLOCKS,
+        self, start: int = 0, stop: int | None = None
     ) -> Iterator[list[tuple]]:
         """Yield insertion-order record blocks, charging reads in bulk.
 
@@ -325,13 +286,11 @@ class PersistentCollection:
         may be partial).  The charge totals are identical to
         :meth:`scan`'s -- including under early termination, where only the
         blocks actually yielded are priced (charges for up to
-        ``charge_batch_blocks`` blocks are accumulated and settled in one
-        backend call at batch boundaries and on generator close) -- and
+        :data:`CHARGE_BATCH_BLOCKS` blocks are accumulated and settled in
+        one backend call at batch boundaries and on generator close) -- and
         consumers iterate plain lists instead of pulling a generator once
         per record.
         """
-        if charge_batch_blocks < 1:
-            raise ConfigurationError("charge_batch_blocks must be positive")
         record_bytes = self.schema.record_bytes
         per_block = max(1, -(-self.block_bytes // record_bytes))
         if self._status is CollectionStatus.DEFERRED:
@@ -357,11 +316,10 @@ class PersistentCollection:
         position = 0
         uncharged_blocks = 0
         uncharged_tail_bytes = 0
-        batch_limit = charge_batch_blocks if _io_batching_enabled else 1
         try:
             for _ in range(full_blocks):
-                if uncharged_blocks >= batch_limit:
-                    self.backend.read_bulk(self.name, chunk_bytes, uncharged_blocks)
+                if uncharged_blocks >= CHARGE_BATCH_BLOCKS:
+                    self.backend.read(self.name, chunk_bytes, uncharged_blocks)
                     uncharged_blocks = 0
                 # Count the block before yielding so a consumer that stops
                 # here still settles it on generator close.
@@ -373,15 +331,12 @@ class PersistentCollection:
                 yield records[position:]
         finally:
             if uncharged_blocks:
-                self.backend.read_bulk(self.name, chunk_bytes, uncharged_blocks)
+                self.backend.read(self.name, chunk_bytes, uncharged_blocks)
             if uncharged_tail_bytes:
                 self.backend.read(self.name, uncharged_tail_bytes)
 
     def scan_blocks_flat(
-        self,
-        start: int = 0,
-        stop: int | None = None,
-        charge_batch_blocks: int = DEFAULT_CHARGE_BATCH_BLOCKS,
+        self, start: int = 0, stop: int | None = None
     ) -> Iterator[tuple]:
         """A per-record stream with :meth:`scan_blocks` batched charging.
 
@@ -389,9 +344,7 @@ class PersistentCollection:
         (merges, hash-table builds); reads are priced per block batch
         instead of per record.
         """
-        for block in self.scan_blocks(
-            start=start, stop=stop, charge_batch_blocks=charge_batch_blocks
-        ):
+        for block in self.scan_blocks(start=start, stop=stop):
             yield from block
 
     def __iter__(self) -> Iterator[tuple]:

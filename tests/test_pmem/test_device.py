@@ -93,8 +93,8 @@ class TestAccounting:
         assert snapshot.bytes_written == 64
 
     def test_sub_cacheline_byte_totals_do_not_drift_in_bulk(self, device):
-        device.read_bulk(6.4, count=10)
-        device.write_bulk(6.4, count=10)
+        device.read(6.4, count=10)
+        device.write(6.4, count=10)
         snapshot = device.snapshot()
         assert snapshot.bytes_read == 64
         assert snapshot.bytes_written == 64

@@ -1,4 +1,4 @@
-"""The Session facade: routing, shared bufferpool, deprecation shims."""
+"""The Session facade: routing and the shared bufferpool."""
 
 import pytest
 
@@ -9,8 +9,6 @@ from repro import (
     Session,
     ShardSet,
     ShardedQueryResult,
-    execute_query,
-    execute_sharded_query,
 )
 from repro.bench.harness import budget_for, make_environment
 from repro.exceptions import ConfigurationError
@@ -120,33 +118,6 @@ class TestSharedBufferpool:
         session = Session(shard_set, budget)
         session.query(Query.scan(collection).order_by())
         assert session.bufferpool.reserved_bytes == 0
-
-
-class TestDeprecatedShims:
-    def test_execute_query_warns_and_matches_session(self, backend):
-        collection = make_sort_input(128, backend)
-        budget = budget_for(collection, 0.10)
-        with pytest.warns(DeprecationWarning, match="execute_query"):
-            shimmed = execute_query(
-                Query.scan(collection).order_by(), backend, budget
-            )
-        direct = Session(backend, budget).query(
-            Query.scan(collection).order_by()
-        )
-        assert shimmed.records == direct.records
-
-    def test_execute_sharded_query_warns(self):
-        shard_set = ShardSet.create(2)
-        collection = make_sharded_sort_input(32, shard_set)
-        with pytest.warns(DeprecationWarning, match="execute_sharded_query"):
-            result = execute_sharded_query(
-                Query.scan(collection).order_by(),
-                shard_set,
-                MemoryBudget.from_records(8),
-            )
-        assert [r[0] for r in result.records] == sorted(
-            r[0] for r in collection.records
-        )
 
 
 class TestCreateCollection:

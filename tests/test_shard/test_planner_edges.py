@@ -14,7 +14,6 @@ from repro.shard import (
     ShardedPhysicalPlan,
     ShardedPlanner,
     ShardedQueryExecutor,
-    execute_sharded_query,
 )
 from repro.shard.planner import ExchangeStep
 from repro.storage.bufferpool import MemoryBudget
@@ -217,17 +216,6 @@ class TestShardedDispatch:
             ShardedPlanner(shard_set, budget).plan(
                 Query.scan(sharded).join(Query.scan(plain))
             )
-
-    def test_execute_sharded_query_shim_warns_and_still_works(self):
-        shard_set = ShardSet.create(2)
-        collection = build_sharded(shard_set, "T", list(range(32)))
-        with pytest.warns(DeprecationWarning, match="execute_sharded_query"):
-            result = execute_sharded_query(
-                Query.scan(collection).order_by(),
-                shard_set,
-                MemoryBudget.from_records(8),
-            )
-        assert [record[0] for record in result.records] == sorted(range(32))
 
     def test_exchange_pricing_uses_actual_shard_counts_under_skew(self):
         # Every record lands on shard 0, but the group attribute routes

@@ -253,7 +253,7 @@ def test_run_generation_matches_the_two_heap_structure(keys, capacity):
     collection = PersistentCollection(name="rs", backend=backend)
     collection.extend((key,) + (uid,) * 9 for uid, key in enumerate(keys))
     runset = RunSet(backend, prefix="rs-run")
-    generate_runs_replacement_selection(collection, runset, capacity, 0)
+    generate_runs_replacement_selection(collection.scan_blocks(), runset, capacity, 0)
     assert [run.records for run in runset.runs] == reference_runs(
         collection.records, capacity
     )

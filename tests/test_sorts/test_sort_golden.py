@@ -28,7 +28,13 @@ import pytest
 
 from repro.pmem.backends import BACKEND_REGISTRY, make_backend
 from repro.pmem.device import PersistentMemoryDevice
-from repro.sorts import ExternalMergeSort, LazySort, SegmentSort, SelectionSort
+from repro.sorts import (
+    ExternalMergeSort,
+    HybridSort,
+    LazySort,
+    SegmentSort,
+    SelectionSort,
+)
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.schema import Schema
 from repro.workloads.generator import make_sort_input
@@ -45,6 +51,9 @@ ALGORITHMS = {
     "SegS-x0.3": (SegmentSort, {"write_intensity": 0.3}),
     "SegS-x1": (SegmentSort, {"write_intensity": 1.0}),
     "ExMS": (ExternalMergeSort, {}),
+    "HybS-x0.1": (HybridSort, {"write_intensity": 0.1}),
+    "HybS-x0.5": (HybridSort, {"write_intensity": 0.5}),
+    "HybS-x0.9": (HybridSort, {"write_intensity": 0.9}),
 }
 
 

@@ -1,15 +1,30 @@
-"""Regression tests for the batched block-I/O fast path.
+"""Regression tests for the block-batched I/O path.
 
-The batched collection/backend/device APIs must be *cost-transparent*:
-for the same record traffic they must leave the device counters (the
-:class:`~repro.pmem.metrics.IOSnapshot` fields) and the per-store stats
-byte-for-byte identical to the per-record path.  These tests drive both
-paths -- the per-record one via the :func:`repro.storage.collection.io_batching`
-switch -- over collection-level workloads, every backend, and the Fig. 5 /
-Fig. 7 sweep workloads.
+Every charge takes a ``count``: one device, counter or backend call
+prices ``count`` identical transfers.  These tests pin that
+
+* a call with ``count=k`` leaves the device counters (the
+  :class:`~repro.pmem.metrics.IOSnapshot` fields), the wear map and the
+  per-store stats exactly as ``k`` calls with ``count=1`` do, on every
+  backend;
+* the batched collection APIs (``extend`` / ``scan_blocks``) charge
+  exactly what the per-record ones (``append`` / ``scan``) charge;
+* the Fig. 5 / Fig. 7 sweeps and ``scan()`` abandoned mid-stream charge
+  exactly what ``golden_batched_io.json`` records.  That file was
+  recorded from the per-record charging path, one backend call per
+  block, so the batched path is held to it.
+
+Regenerate the golden, only for an intended change of behaviour, with::
+
+    PYTHONPATH=src python tests/test_storage/test_batched_io.py
 """
 
 from __future__ import annotations
+
+import dataclasses
+import itertools
+import json
+import pathlib
 
 import pytest
 
@@ -21,11 +36,25 @@ from repro.storage.collection import (
     AppendBuffer,
     CollectionStatus,
     PersistentCollection,
-    io_batching,
-    io_batching_enabled,
-    set_io_batching,
 )
 from repro.storage.schema import WISCONSIN_SCHEMA
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_batched_io.json")
+
+#: Records in the abandoned-scan collection: 7 full 13-record blocks of
+#: 80-byte records plus a 9-record tail.
+SCAN_RECORDS = 100
+
+#: Records consumed before ``scan()`` is abandoned (``None``: run it to
+#: exhaustion).  A consumer that takes all 100 records but never asks for
+#: the 101st also abandons the scan, before the tail is charged.
+SCAN_STOPS = {
+    "mid_block": 20,
+    "block_boundary": 26,
+    "one_before_end": SCAN_RECORDS - 1,
+    "all_records": SCAN_RECORDS,
+    "exhausted": None,
+}
 
 
 def _materialized(backend, name="col"):
@@ -53,63 +82,86 @@ def _store_state(backend, name):
 
 
 # --------------------------------------------------------------------- #
-# Device-level bulk accounting.
+# Device-level accounting: count=k equals k calls with count=1.
 # --------------------------------------------------------------------- #
-def test_device_bulk_calls_match_repeated_single_calls():
-    single, bulk = PersistentMemoryDevice(), PersistentMemoryDevice()
+def test_device_count_matches_repeated_single_calls():
+    single, counted = PersistentMemoryDevice(), PersistentMemoryDevice()
     for _ in range(7):
         single.read(1024)
         single.write(1024, address=4096)
         single.overhead(80.0, label="x")
-    bulk.read_bulk(1024, 7)
-    bulk.write_bulk(1024, 7, address=4096)
-    bulk.overhead_bulk(80.0, 7, label="x")
-    assert single.snapshot() == bulk.snapshot()
-    assert single.wear_map == bulk.wear_map
-    assert single.counters.overhead_breakdown == bulk.counters.overhead_breakdown
+    assert counted.read(1024, count=7) == 7 * single.latency.read_cost_ns(16)
+    counted.write(1024, count=7, address=4096)
+    counted.overhead(80.0, label="x", count=7)
+    assert single.snapshot() == counted.snapshot()
+    assert single.wear_map == counted.wear_map
+    assert single.counters.overhead_breakdown == counted.counters.overhead_breakdown
 
 
-def test_device_bulk_zero_count_charges_nothing():
+def test_device_zero_count_charges_nothing():
     device = PersistentMemoryDevice()
-    assert device.read_bulk(1024, 0) == 0.0
-    assert device.write_bulk(1024, 0) == 0.0
-    assert device.overhead_bulk(80.0, 0) == 0.0
+    assert device.read(1024, count=0) == 0.0
+    assert device.write(1024, count=0) == 0.0
+    assert device.overhead(80.0, count=0) == 0.0
     assert device.snapshot() == PersistentMemoryDevice().snapshot()
 
 
-def test_device_bulk_rejects_negative_count():
+def test_device_rejects_negative_count():
     device = PersistentMemoryDevice()
     with pytest.raises(ConfigurationError):
-        device.read_bulk(1024, -1)
+        device.read(1024, count=-1)
     with pytest.raises(ConfigurationError):
-        device.write_bulk(1024, -1)
+        device.write(1024, count=-1)
     with pytest.raises(ConfigurationError):
-        device.overhead_bulk(80.0, -1)
+        device.overhead(80.0, count=-1)
+
+
+def test_device_count_and_address_are_keyword_only():
+    device = PersistentMemoryDevice()
+    with pytest.raises(TypeError):
+        device.read(1024, 7)
+    with pytest.raises(TypeError):
+        device.write(1024, 4096)
 
 
 # --------------------------------------------------------------------- #
-# Backend-level bulk operations, every backend.
+# Backend-level charges, every backend.
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend_name", sorted(BACKEND_REGISTRY))
-def test_backend_bulk_matches_sequential_calls(backend_name):
-    seq_backend = make_backend(backend_name, PersistentMemoryDevice())
-    bulk_backend = make_backend(backend_name, PersistentMemoryDevice())
-    for backend in (seq_backend, bulk_backend):
+def test_backend_count_matches_sequential_calls(backend_name):
+    single_backend = make_backend(backend_name, PersistentMemoryDevice())
+    counted_backend = make_backend(backend_name, PersistentMemoryDevice())
+    for backend in (single_backend, counted_backend):
         backend.create_store("s")
     # 37 appends of 1024 then 37 reads of 1024, with awkward odd sizes mixed
     # in so growth paths (doubling, extents, fs blocks) are exercised.
     for _ in range(37):
-        seq_backend.append("s", 1024)
-    seq_backend.append("s", 700)
+        single_backend.append("s", 1024)
+    single_backend.append("s", 700)
     for _ in range(37):
-        seq_backend.read("s", 1024)
-    seq_backend.read("s", 700)
-    bulk_backend.append_bulk("s", 1024, 37)
-    bulk_backend.append("s", 700)
-    bulk_backend.read_bulk("s", 1024, 37)
-    bulk_backend.read("s", 700)
-    assert seq_backend.device.snapshot() == bulk_backend.device.snapshot()
-    assert _store_state(seq_backend, "s") == _store_state(bulk_backend, "s")
+        single_backend.read("s", 1024)
+    single_backend.read("s", 700)
+    counted_backend.append("s", 1024, count=37)
+    counted_backend.append("s", 700)
+    counted_backend.read("s", 1024, count=37)
+    counted_backend.read("s", 700)
+    assert single_backend.device.snapshot() == counted_backend.device.snapshot()
+    assert _store_state(single_backend, "s") == _store_state(counted_backend, "s")
+
+
+@pytest.mark.parametrize("backend_name", sorted(BACKEND_REGISTRY))
+def test_backend_zero_count_and_negative_count(backend_name):
+    backend = make_backend(backend_name, PersistentMemoryDevice())
+    backend.create_store("s")
+    before = _store_state(backend, "s")
+    backend.append("s", 1024, count=0)
+    backend.read("s", 1024, count=0)
+    assert _store_state(backend, "s") == before
+    assert backend.device.snapshot() == PersistentMemoryDevice().snapshot()
+    with pytest.raises(ConfigurationError):
+        backend.append("s", 1024, count=-1)
+    with pytest.raises(ConfigurationError):
+        backend.read("s", 1024, count=-1)
 
 
 # --------------------------------------------------------------------- #
@@ -124,10 +176,15 @@ def test_collection_batched_path_is_cost_identical(backend_name, num_records):
         device = PersistentMemoryDevice()
         backend = make_backend(backend_name, device)
         collection = _materialized(backend)
-        with io_batching(batched):
+        if batched:
             collection.extend(records)
             collection.seal()
             seen = [record for block in collection.scan_blocks() for record in block]
+        else:
+            for record in records:
+                collection.append(record)
+            collection.seal()
+            seen = list(collection.scan())
         snapshots.append(device.snapshot())
         states.append(_store_state(backend, "col"))
         payloads.append(seen)
@@ -190,9 +247,7 @@ def test_extend_empty_is_noop_even_when_sealed(backend):
     collection = _materialized(backend)
     collection.extend(_records(5))
     collection.seal()
-    for batched in (False, True):
-        with io_batching(batched):
-            collection.extend([])  # zero appends touch no state on either path
+    collection.extend([])  # zero appends touch no state
     assert len(collection.records) == 5
 
 
@@ -217,19 +272,6 @@ def test_memory_collection_extend_and_scan_blocks_charge_nothing(backend):
     assert device.snapshot().total_ns == 0.0
 
 
-def test_io_batching_switch_restores_previous_state():
-    assert io_batching_enabled()
-    with io_batching(False):
-        assert not io_batching_enabled()
-        with io_batching(True):
-            assert io_batching_enabled()
-        assert not io_batching_enabled()
-    assert io_batching_enabled()
-    previous = set_io_batching(False)
-    assert previous is True
-    assert set_io_batching(True) is False
-
-
 # --------------------------------------------------------------------- #
 # block_bytes validation (regression: 0 used to silently become default).
 # --------------------------------------------------------------------- #
@@ -250,8 +292,7 @@ def test_default_block_bytes_comes_from_device_geometry(backend):
 
 
 # --------------------------------------------------------------------- #
-# End-to-end: the Fig. 5 / Fig. 7 sweep workloads cost the same on both
-# paths (the acceptance criterion of the batched fast path).
+# Golden outcomes, recorded from the per-record charging path.
 # --------------------------------------------------------------------- #
 def _comparable(rows):
     return [
@@ -268,29 +309,98 @@ def _comparable(rows):
     ]
 
 
-def test_fig5_sort_sweep_identical_io_on_both_paths():
-    results = {}
-    for batched in (False, True):
-        with io_batching(batched):
-            results[batched] = experiments.sort_memory_sweep(
-                num_records=900, memory_fractions=(0.05, 0.11)
-            )
-    assert _comparable(results[False]) == _comparable(results[True])
-    assert all(row["sorted"] for row in results[True])
+def fig5_outcome() -> list[dict]:
+    rows = experiments.sort_memory_sweep(
+        num_records=900, memory_fractions=(0.05, 0.11)
+    )
+    assert all(row["sorted"] for row in rows)
+    return _comparable(rows)
 
 
-def test_fig7_join_sweep_identical_io_on_both_paths():
-    results = {}
-    for batched in (False, True):
-        with io_batching(batched):
-            results[batched] = experiments.join_memory_sweep(
-                left_records=300,
-                right_records=3000,
-                memory_fractions=(0.05, 0.11),
-                hybrid_intensities=((0.5, 0.5),),
-                segmented_intensities=(0.5,),
-            )
-    assert _comparable(results[False]) == _comparable(results[True])
-    matches = [row["matches"] for row in results[True]]
-    assert matches == [row["matches"] for row in results[False]]
-    assert all(count > 0 for count in matches)
+def fig7_outcome() -> dict:
+    rows = experiments.join_memory_sweep(
+        left_records=300,
+        right_records=3000,
+        memory_fractions=(0.05, 0.11),
+        hybrid_intensities=((0.5, 0.5),),
+        segmented_intensities=(0.5,),
+    )
+    return {
+        "rows": _comparable(rows),
+        "matches": [row["matches"] for row in rows],
+    }
+
+
+def scan_abandoned_outcome(backend_name: str, stop: int | None) -> dict:
+    """The device delta of a ``scan()`` dropped after ``stop`` records."""
+    backend = make_backend(backend_name, PersistentMemoryDevice())
+    collection = _materialized(backend)
+    collection.extend(_records(SCAN_RECORDS))
+    collection.seal()
+    before = backend.device.snapshot()
+    iterator = collection.scan()
+    consumed = list(itertools.islice(iterator, stop))
+    iterator.close()
+    assert len(consumed) == (SCAN_RECORDS if stop is None else stop)
+    return dataclasses.asdict(backend.device.snapshot() - before)
+
+
+def scan_case_ids() -> list[str]:
+    return [
+        f"{backend_name}/{label}"
+        for backend_name in sorted(BACKEND_REGISTRY)
+        for label in SCAN_STOPS
+    ]
+
+
+def _scan_case(case_id: str) -> dict:
+    backend_name, label = case_id.split("/")
+    return scan_abandoned_outcome(backend_name, SCAN_STOPS[label])
+
+
+def golden_outcome() -> dict:
+    return {
+        "fig5_sort_sweep": fig5_outcome(),
+        "fig7_join_sweep": fig7_outcome(),
+        "scan_abandoned": {case_id: _scan_case(case_id) for case_id in scan_case_ids()},
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def test_fig5_sort_sweep_matches_golden(golden):
+    assert fig5_outcome() == golden["fig5_sort_sweep"]
+
+
+def test_fig7_join_sweep_matches_golden(golden):
+    outcome = fig7_outcome()
+    assert outcome == golden["fig7_join_sweep"]
+    assert all(count > 0 for count in outcome["matches"])
+
+
+@pytest.mark.parametrize("case_id", scan_case_ids())
+def test_scan_abandoned_charges_match_golden(golden, case_id):
+    assert _scan_case(case_id) == golden["scan_abandoned"][case_id]
+
+
+@pytest.mark.parametrize("backend_name", sorted(BACKEND_REGISTRY))
+def test_scan_charges_each_block_as_it_goes(backend_name):
+    # scan() charges a block when its last record is handed out and the
+    # partial tail only when the stream is exhausted, never on close.
+    calls = {
+        label: scan_abandoned_outcome(backend_name, stop)["read_calls"]
+        for label, stop in SCAN_STOPS.items()
+    }
+    assert calls["mid_block"] == 1
+    assert calls["block_boundary"] == 2
+    assert calls["one_before_end"] == calls["all_records"] == 7
+    assert calls["exhausted"] == 8
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(
+        json.dumps(golden_outcome(), indent=1) + "\n", encoding="utf-8"
+    )
