@@ -64,12 +64,11 @@ def main() -> None:
             if execution.details.get("deferred")
         ]
         assert deferred_edges, "the filter edge should defer at lambda = 15"
-        context = costed.runtime_context
         for execution in deferred_edges:
             name = execution.output.name
             print(
                 f"\ndeferred intermediate {name!r}: re-derived "
-                f"{context.reconstruction_count(name)}x through the runtime "
+                f"{execution.details['reconstructions']}x through the runtime "
                 f"graph, {execution.records} records, zero settlement writes"
             )
 

@@ -43,11 +43,12 @@ The package is organized as follows:
     vs. actual I/O and the critical-path (max-over-shards) cost.
 
 ``repro.session``
-    The top-level ``Session`` facade: one front door owning the backend
-    (or shard set), the DRAM budget and the shared bufferpool, routing
-    queries to the single-device or sharded executor through the uniform
-    physical-operator protocol with per-edge materialize / pipeline /
-    defer boundary decisions.  ``Session.submit()`` /
+    The top-level ``Session`` facade: one front door owning the shard set
+    (one device is a one-shard set), the DRAM budget and the shared
+    bufferpool, running every query through the sharded planner and
+    executor -- per-device fragments on the uniform physical-operator
+    protocol with per-edge materialize / pipeline / defer boundary
+    decisions.  ``Session.submit()`` /
     ``Session.run_workload()`` expose the concurrent workload lifecycle;
     ``Session.query()`` is sugar over ``submit(...).result()``.
 

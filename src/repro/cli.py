@@ -13,8 +13,9 @@ Usage::
 Every ``figure``/``table`` subcommand drives the same experiment
 definitions as the ``benchmarks/`` directory and prints the series/rows
 the corresponding figure plots.  The ``query`` subcommand runs canned
-Wisconsin-workload queries through the cost-based planner and executor
-(:mod:`repro.query`) and prints the plan with estimated vs. actual I/O
+Wisconsin-workload queries through a ``Session`` over ``--shards``
+devices (the per-fragment cost-based planner and executor of
+:mod:`repro.query`) and prints the plan with estimated vs. actual I/O
 per node.  The ``workload`` subcommand submits a canned mix of
 single-device and sharded queries through the concurrent workload API
 (:mod:`repro.workload_mgmt`) under a budget that admits only a few at a
@@ -29,11 +30,17 @@ import argparse
 import sys
 
 from repro.bench import experiments, reporting
-from repro.bench.harness import make_environment
+from repro.exceptions import ConfigurationError
 from repro.query import Query
 from repro.session import Session
+from repro.shard import ShardSet
 from repro.storage.bufferpool import MemoryBudget
-from repro.workloads.generator import make_join_inputs, make_sort_input
+from repro.workloads.generator import (
+    make_join_inputs,
+    make_sharded_join_inputs,
+    make_sharded_sort_input,
+    make_sort_input,
+)
 
 #: Maps figure numbers to (description, runner) pairs.  Runners accept the
 #: parsed argparse namespace and return printable text.
@@ -216,27 +223,22 @@ def _run_table1(args) -> str:
 # Canned planner/executor queries over the Wisconsin workload.
 # --------------------------------------------------------------------- #
 class _Relations:
-    """Builds the canned inputs on a single backend or a shard set."""
+    """Builds the canned inputs on a shard set: plain collections on its
+    backend when it has one shard, sharded collections otherwise."""
 
-    def __init__(self, env=None, shard_set=None):
-        self.env = env
+    def __init__(self, shard_set):
         self.shard_set = shard_set
+        self.backend = shard_set.backends[0] if shard_set.num_shards == 1 else None
 
     def sort_input(self, num_records):
-        if self.shard_set is not None:
-            from repro.workloads.generator import make_sharded_sort_input
-
-            return make_sharded_sort_input(num_records, self.shard_set, name="T")
-        return make_sort_input(num_records, self.env.backend, name="T")
+        if self.backend is not None:
+            return make_sort_input(num_records, self.backend, name="T")
+        return make_sharded_sort_input(num_records, self.shard_set, name="T")
 
     def join_inputs(self, left_records, right_records):
-        if self.shard_set is not None:
-            from repro.workloads.generator import make_sharded_join_inputs
-
-            return make_sharded_join_inputs(
-                left_records, right_records, self.shard_set
-            )
-        return make_join_inputs(left_records, right_records, self.env.backend)
+        if self.backend is not None:
+            return make_join_inputs(left_records, right_records, self.backend)
+        return make_sharded_join_inputs(left_records, right_records, self.shard_set)
 
 
 def _query_sort(args, relations):
@@ -301,50 +303,31 @@ def _run_query(args) -> str:
     _, builder = QUERIES[args.name]
     if args.shards < 1:
         raise SystemExit(f"--shards must be at least 1, got {args.shards}")
-    if args.shards > 1:
-        if args.materialize:
-            raise SystemExit(
-                "--materialize is not supported with --shards > 1: the "
-                "sharded executor merges shard outputs in DRAM"
-            )
-        from repro.shard import ShardSet
-
-        shard_set = ShardSet.create(
-            args.shards, backend_name=args.backend, write_ns=args.write_ns
-        )
-        query, budget_base = builder(args, _Relations(shard_set=shard_set))
-        budget = MemoryBudget.fraction_of(budget_base, args.fraction)
-        session = Session(shard_set, budget, boundary_policy=args.boundaries)
+    shard_set = ShardSet.create(
+        args.shards, backend_name=args.backend, write_ns=args.write_ns
+    )
+    query, budget_base = builder(args, _Relations(shard_set))
+    budget = MemoryBudget.fraction_of(budget_base, args.fraction)
+    session = Session(
+        shard_set,
+        budget,
+        materialize_result=args.materialize,
+        boundary_policy=args.boundaries,
+    )
+    try:
         result = session.query(query)
-        lines = [
-            result.explain(),
-            "",
-            f"output records    : {len(result.records)}",
-            f"simulated time    : {result.simulated_seconds * 1e3:.3f} ms "
-            "(critical path)",
-            f"summed device time: {result.summed_seconds * 1e3:.3f} ms",
-            f"cacheline reads   : {result.io.cacheline_reads:.0f} (all shards)",
-            f"cacheline writes  : {result.io.cacheline_writes:.0f} (all shards)",
-        ]
-    else:
-        env = make_environment(args.backend, write_ns=args.write_ns)
-        query, budget_base = builder(args, _Relations(env=env))
-        budget = MemoryBudget.fraction_of(budget_base, args.fraction)
-        session = Session(
-            env.backend,
-            budget,
-            materialize_result=args.materialize,
-            boundary_policy=args.boundaries,
-        )
-        result = session.query(query)
-        lines = [
-            result.explain(),
-            "",
-            f"output records    : {len(result.records)}",
-            f"simulated time    : {result.simulated_seconds * 1e3:.3f} ms",
-            f"cacheline reads   : {result.io.cacheline_reads:.0f}",
-            f"cacheline writes  : {result.io.cacheline_writes:.0f}",
-        ]
+    except ConfigurationError as error:
+        raise SystemExit(str(error)) from None
+    lines = [
+        result.explain(),
+        "",
+        f"output records    : {len(result.records)}",
+        f"simulated time    : {result.simulated_seconds * 1e3:.3f} ms "
+        "(critical path)",
+        f"summed device time: {result.summed_seconds * 1e3:.3f} ms",
+        f"cacheline reads   : {result.io.cacheline_reads:.0f} (all shards)",
+        f"cacheline writes  : {result.io.cacheline_writes:.0f} (all shards)",
+    ]
     preview = result.records[: args.rows]
     if preview:
         lines.append(f"first {len(preview)} records:")
@@ -356,13 +339,8 @@ def _run_query(args) -> str:
 # Canned concurrent workload through the admission-controlled Session.
 # --------------------------------------------------------------------- #
 def _run_workload(args) -> str:
-    from repro.shard import ShardSet
     from repro.storage.collection import PersistentCollection
     from repro.storage.schema import WISCONSIN_SCHEMA
-    from repro.workloads.generator import (
-        make_sharded_join_inputs,
-        make_sharded_sort_input,
-    )
 
     if args.shards < 2:
         raise SystemExit("--shards must be at least 2 for a mixed workload")
@@ -511,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="partition the inputs across N simulated devices and run the "
-        "plan fragments concurrently (1 = single-device execution)",
+        "plan fragments concurrently (1 = one device)",
     )
     query.add_argument(
         "--materialize",

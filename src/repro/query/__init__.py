@@ -53,8 +53,9 @@ The API has three layers:
     :class:`~repro.storage.bufferpool.Bufferpool` so the budget is
     enforced end-to-end.  The final output stays in DRAM unless
     ``materialize_result`` is set (the paper factors that write out of
-    its comparisons).  The preferred front door is the
-    :class:`repro.session.Session` facade::
+    its comparisons).  It is the per-fragment executor: the front door
+    is the :class:`repro.session.Session` facade, which runs every query
+    through :class:`repro.shard.ShardedQueryExecutor`::
 
         from repro import Session
 

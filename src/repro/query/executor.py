@@ -1,6 +1,9 @@
 """Physical plan execution over the uniform operator protocol.
 
-The executor runs a :class:`~repro.query.planner.PhysicalPlan` bottom-up.
+The executor runs a :class:`~repro.query.planner.PhysicalPlan` bottom-up
+on one device: it is the per-fragment executor that
+:class:`~repro.shard.executor.ShardedQueryExecutor` (and through it
+``Session``) runs each shard's fragment with.
 Every node -- scan, filter, project, sort, join, grouped aggregation --
 is wrapped in a :class:`~repro.query.physical.PhysicalOperator` and
 driven through ``open()``/``blocks()``/``close()``; what happens to the
@@ -120,14 +123,13 @@ class QueryExecutor:
 
     Args:
         backend: persistence backend hosting inputs, intermediates and
-            (optionally) the final output.
+            (when the plan's root is marked with
+            :meth:`~repro.query.planner.PhysicalPlan.materialize_root`)
+            the final output.
         budget: DRAM budget; also used to plan when :meth:`execute` is
             handed an unplanned logical query.
         bufferpool: shared pool every operator registers its workspace
             with; a fresh pool over ``budget`` when omitted.
-        materialize_result: write the final output to the persistent
-            device (the paper's experiments factor this write out, so the
-            default keeps the root in DRAM).
         boundary_policy: how the planner places operator boundaries when
             :meth:`execute` plans a logical query itself; see
             :class:`~repro.query.planner.CostBasedPlanner`.
@@ -138,13 +140,11 @@ class QueryExecutor:
         backend: PersistenceBackend,
         budget: MemoryBudget,
         bufferpool: Bufferpool | None = None,
-        materialize_result: bool = False,
         boundary_policy: str = "cost",
     ) -> None:
         self.backend = backend
         self.budget = budget
         self.bufferpool = bufferpool if bufferpool is not None else Bufferpool(budget)
-        self.materialize_result = materialize_result
         self.boundary_policy = boundary_policy
 
     def execute(self, query) -> QueryResult:
@@ -161,14 +161,6 @@ class QueryExecutor:
             plan = CostBasedPlanner(
                 self.backend, self.budget, boundary_policy=self.boundary_policy
             ).plan(query)
-        if getattr(plan, "is_sharded_plan", False):
-            raise ConfigurationError(
-                "the query scans sharded collections; run it through "
-                "repro.shard.ShardedQueryExecutor (or repro.Session) "
-                "instead of the single-device QueryExecutor"
-            )
-        if self.materialize_result:
-            plan.materialize_root()
         device = self.backend.device
         state = _ExecutionState(self.backend)
         before = device.snapshot()

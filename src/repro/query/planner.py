@@ -311,13 +311,13 @@ class CostBasedPlanner:
         self.lam = device.write_read_ratio
         self._bytes_to_buffers = device.geometry.bytes_to_cachelines
 
-    def plan(self, query):
+    def plan(self, query) -> PhysicalPlan:
         """Plan a :class:`~repro.query.logical.Query` (or bare node).
 
-        Queries over :class:`~repro.shard.collection.ShardedCollection`
-        inputs are delegated to the sharded planner and come back as a
-        :class:`~repro.shard.planner.ShardedPhysicalPlan` -- per-shard
-        fragments plus exchanges -- instead of a single-device plan.
+        This is the per-device planner: queries over
+        :class:`~repro.shard.collection.ShardedCollection` inputs are
+        planned by :class:`~repro.shard.planner.ShardedPlanner`, which
+        calls this planner once per shard fragment.
         """
         node = query.node if isinstance(query, Query) else query
         if not isinstance(node, LogicalNode):
@@ -325,16 +325,6 @@ class CostBasedPlanner:
                 f"cannot plan a {type(query).__name__}; expected a Query or "
                 "logical node"
             )
-        # Imported lazily: repro.shard builds on this module.
-        from repro.shard.planner import ShardedPlanner, find_sharded_collections
-
-        sharded = find_sharded_collections(node)
-        if sharded:
-            return ShardedPlanner(
-                sharded[0].shard_set,
-                self.budget,
-                boundary_policy=self.boundary_policy,
-            ).plan(node)
         root = self._plan_node(node)
         self._decide_boundaries(root)
         # The root stays in DRAM: the paper factors the final-output write
@@ -361,6 +351,12 @@ class CostBasedPlanner:
         raise ConfigurationError(f"unknown logical node {type(node).__name__}")
 
     def _plan_scan(self, node: Scan) -> PlannedNode:
+        if getattr(node.collection, "is_sharded", False):
+            raise ConfigurationError(
+                f"collection {node.collection.name!r} is sharded; plan and "
+                "run the query with repro.shard.ShardedPlanner and "
+                "ShardedQueryExecutor (or repro.Session)"
+            )
         # Reads are charged to the consuming operator, so a scan itself is
         # free; its collection is already materialized.  ``est_records``
         # overrides the actual cardinality for collections that are still

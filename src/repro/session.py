@@ -1,8 +1,8 @@
 """The top-level Session facade: a concurrent workload front door.
 
 A :class:`Session` owns the pieces that used to be wired up by hand at
-every call site -- the persistence backend (or
-:class:`~repro.shard.collection.ShardSet`), the DRAM
+every call site -- the :class:`~repro.shard.collection.ShardSet` the data
+lives on (a single backend or device is a one-shard set), the DRAM
 :class:`~repro.storage.bufferpool.MemoryBudget` and the shared
 :class:`~repro.storage.bufferpool.Bufferpool` -- plus the
 :mod:`~repro.workload_mgmt` machinery that lets many queries share them
@@ -34,6 +34,14 @@ level), ``shed`` (reject with
 serial worker per simulated device, preserving per-device serialization
 *across* queries, not just within one.
 
+There is one execution path: every query is planned by
+:class:`~repro.shard.planner.ShardedPlanner` and run by
+:class:`~repro.shard.executor.ShardedQueryExecutor`.  A query over
+sharded collections runs on the session's shard set; a query over plain
+collections that all live on one backend of the session runs on the
+one-shard view of that backend, whose single fragment is exactly the
+single-device plan (and renders as one in ``explain()``).
+
 :meth:`Session.query` remains as sugar over ``submit(...).result()``:
 it requests the whole session budget (the single-query behavior of
 earlier revisions) and sheds instead of waiting, so exceeding the budget
@@ -50,13 +58,15 @@ from repro.exceptions import ConfigurationError
 from repro.pmem.backends import make_backend
 from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.device import PersistentMemoryDevice
-from repro.query.executor import QueryResult
-from repro.query.logical import LogicalNode, Query, Scan
+from repro.query.logical import LogicalNode, Query
 from repro.query.physical import BOUNDARY_POLICIES
-from repro.query.planner import CostBasedPlanner, PhysicalPlan
 from repro.shard.collection import ShardSet
 from repro.shard.executor import ShardedQueryResult
-from repro.shard.planner import ShardedPlanner, find_sharded_collections
+from repro.shard.planner import (
+    ShardedPhysicalPlan,
+    ShardedPlanner,
+    find_sharded_collections,
+)
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.collection import PersistentCollection
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
@@ -70,30 +80,18 @@ from repro.workload_mgmt.scheduler import WorkloadScheduler, _SlotGate
 DEFAULT_SESSION_BUDGET_BYTES = 1 << 20
 
 
-def _plain_scan_backends(node: LogicalNode) -> list[PersistenceBackend]:
-    """Backends of every non-sharded materialized scan in a logical tree."""
-    backends: list[PersistenceBackend] = []
-    if isinstance(node, Scan) and not getattr(
-        node.collection, "is_sharded", False
-    ):
-        backend = getattr(node.collection, "backend", None)
-        if backend is not None:
-            backends.append(backend)
-    for child in node.children:
-        backends.extend(_plain_scan_backends(child))
-    return backends
-
-
 class Session:
-    """A query session over one device, backend, or shard set.
+    """A query session over a shard set (one device is a one-shard set).
 
     Args:
-        target: where the data lives -- a
+        target: where the data lives -- a :class:`ShardSet`, or one
+            device as a
             :class:`~repro.pmem.backends.base.PersistenceBackend`, a bare
             :class:`~repro.pmem.device.PersistentMemoryDevice` (wrapped in
-            the blocked-memory backend), a :class:`ShardSet`, or a backend
-            name (``"blocked_memory"``, ``"pmfs"``, ``"ramdisk"``,
-            ``"dynamic_array"``) to build a fresh simulated device.
+            the blocked-memory backend), or a backend name
+            (``"blocked_memory"``, ``"pmfs"``, ``"ramdisk"``,
+            ``"dynamic_array"``) to build a fresh simulated device; a
+            single device becomes ``ShardSet([backend])``.
         budget: DRAM budget shared by every query; 1 MiB when omitted.
         bufferpool: the shared pool; a fresh one over ``budget`` when
             omitted.
@@ -128,22 +126,27 @@ class Session:
                 f"unknown boundary policy {boundary_policy!r}; expected one "
                 f"of {', '.join(BOUNDARY_POLICIES)}"
             )
-        self.shard_set: Optional[ShardSet] = None
-        self.backend: Optional[PersistenceBackend] = None
+        if isinstance(target, PersistentMemoryDevice):
+            target = make_backend("blocked_memory", target)
+        elif isinstance(target, str):
+            target = make_backend(target, PersistentMemoryDevice())
         if isinstance(target, ShardSet):
             self.shard_set = target
         elif isinstance(target, PersistenceBackend):
-            self.backend = target
-        elif isinstance(target, PersistentMemoryDevice):
-            self.backend = make_backend("blocked_memory", target)
-        elif isinstance(target, str):
-            self.backend = make_backend(target, PersistentMemoryDevice())
+            self.shard_set = ShardSet([target])
         else:
             raise ConfigurationError(
                 f"cannot build a Session over {type(target).__name__}; "
                 "expected a PersistenceBackend, PersistentMemoryDevice, "
                 "ShardSet, or backend name"
             )
+        #: One-shard views of the set's backends, for queries over the
+        #: plain collections of one device.
+        self._views = (
+            [self.shard_set]
+            if self.shard_set.num_shards == 1
+            else [ShardSet([backend]) for backend in self.shard_set.backends]
+        )
         self.budget = budget or MemoryBudget(DEFAULT_SESSION_BUDGET_BYTES)
         self._owns_bufferpool = bufferpool is None
         self.bufferpool = (
@@ -161,22 +164,19 @@ class Session:
     # Introspection.
     # ------------------------------------------------------------------ #
     @property
-    def is_sharded(self) -> bool:
-        return self.shard_set is not None
+    def backend(self) -> PersistenceBackend:
+        """The (first) persistence backend behind the session."""
+        return self.shard_set.backends[0]
 
     @property
     def device(self) -> PersistentMemoryDevice:
         """The (first) simulated device behind the session."""
-        if self.shard_set is not None:
-            return self.shard_set.backends[0].device
         return self.backend.device
 
     @property
     def devices(self) -> list[PersistentMemoryDevice]:
         """Every simulated device the session can touch, in shard order."""
-        if self.shard_set is not None:
-            return self.shard_set.devices
-        return [self.backend.device]
+        return self.shard_set.devices
 
     @property
     def closed(self) -> bool:
@@ -257,12 +257,13 @@ class Session:
         schema: Schema = WISCONSIN_SCHEMA,
         records=None,
     ) -> PersistentCollection:
-        """A materialized collection on the session's (first) backend.
+        """A materialized collection on a one-device session's backend.
 
-        On a sharded session, use :class:`~repro.shard.collection.
-        ShardedCollection` directly to spread data across the shard set.
+        On a session over several shards, use
+        :class:`~repro.shard.collection.ShardedCollection` directly to
+        spread data across the shard set.
         """
-        if self.shard_set is not None:
+        if self.shard_set.num_shards > 1:
             raise ConfigurationError(
                 "create_collection targets a single backend; build a "
                 "ShardedCollection over the session's shard_set instead"
@@ -279,15 +280,15 @@ class Session:
     # Planning.
     # ------------------------------------------------------------------ #
     def plan(self, query, boundary_policy: str | None = None):
-        """Plan a query without running it (single-device or sharded)."""
-        policy = boundary_policy or self.boundary_policy
-        shard_set, backend = self._route(query)
-        if shard_set is not None:
-            return ShardedPlanner(
-                shard_set, self.budget, boundary_policy=policy
-            ).plan(query)
-        return CostBasedPlanner(
-            backend, self.budget, boundary_policy=policy
+        """Plan a query without running it.
+
+        The plan runs on :meth:`_shard_set_for` the query; :meth:`submit`
+        accepts it as a pre-planned query.
+        """
+        return ShardedPlanner(
+            self._shard_set_for(query),
+            self.budget,
+            boundary_policy=boundary_policy or self.boundary_policy,
         ).plan(query)
 
     def explain(self, query, boundary_policy: str | None = None) -> str:
@@ -313,7 +314,7 @@ class Session:
         """Submit a query for admission and execution; returns at once.
 
         ``query`` may be a :class:`~repro.query.logical.Query`, a bare
-        logical node, or an already-planned physical plan.  The admission
+        logical node, or a plan from :meth:`plan`.  The admission
         controller sizes the query's DRAM share from the planner's
         memory estimate (or ``memory_bytes`` when given, or the plan's
         own budget for pre-planned queries), carves it out of the session
@@ -326,20 +327,17 @@ class Session:
         handle = QueryHandle(
             query, priority=priority, tag=tag, seq=scheduler.next_seq()
         )
-        shard_set, backend = self._route(query)
-        handle._shard_set = shard_set
-        handle._backend = backend
-        handle._device_index = self._device_index(backend)
+        handle._shard_set = self._shard_set_for(query)
         handle._boundary_policy = boundary_policy or self.boundary_policy
         handle._materialize_result = (
             self.materialize_result
             if materialize_result is None
             else materialize_result
         )
-        if handle._materialize_result and shard_set is not None:
+        if handle._materialize_result and handle._shard_set.num_shards > 1:
             raise ConfigurationError(
-                "materialize_result is not supported on sharded queries: "
-                "the sharded executor merges shard outputs in DRAM"
+                "materialize_result needs a query over one device: the "
+                "outputs of several shards are merged in DRAM"
             )
         if memory_bytes is not None and memory_bytes <= 0:
             raise ConfigurationError("memory_bytes must be positive")
@@ -440,7 +438,7 @@ class Session:
         materialize_result: bool | None = None,
         boundary_policy: str | None = None,
         max_workers: int | None = None,
-    ) -> QueryResult | ShardedQueryResult:
+    ) -> ShardedQueryResult:
         """Plan (when needed), execute, and wait for one query.
 
         Sugar over ``submit(...).result()``: the query requests the whole
@@ -453,8 +451,7 @@ class Session:
                 "max_workers is a workload-scheduling knob and would be "
                 "ignored here: each device runs its work serially.  Pass "
                 "it to run_workload(max_workers=...) to bound concurrent "
-                "queries, or use ShardedQueryExecutor directly to cap a "
-                "single query's in-flight shard tasks"
+                "queries"
             )
         handle = self.submit(
             query,
@@ -480,80 +477,51 @@ class Session:
         return self.calibration.report()
 
     # ------------------------------------------------------------------ #
-    # Routing.
+    # Placement.
     # ------------------------------------------------------------------ #
-    def _route(
-        self, query
-    ) -> tuple[Optional[ShardSet], Optional[PersistenceBackend]]:
-        """Where a query runs: ``(shard_set, None)`` or ``(None, backend)``.
+    def _shard_set_for(self, query) -> ShardSet:
+        """The shard set a query runs on.
 
-        Sharded plans and queries over sharded collections run on the
-        session's shard set.  Plain queries run on the session backend;
-        on a *sharded* session they are routed to the single shard
-        backend their scanned collections live on (so mixed workloads
-        can put shard-local queries next to sharded ones), and rejected
-        when their collections live elsewhere.
+        Queries over sharded collections run on the session's shard set.
+        A query over plain collections runs on the one-shard view of the
+        session backend its first scanned collection lives on (so mixed
+        workloads can put shard-local queries next to sharded ones); the
+        planner rejects any other input that does not live there.  Plans
+        from :meth:`plan` run where they were planned.
         """
-        if getattr(query, "is_sharded_plan", False):
-            return self._check_shard_set(query.shard_set), None
-        if isinstance(query, PhysicalPlan):
-            backend = query.backend
-            if self.shard_set is not None and backend not in self.shard_set.backends:
-                raise ConfigurationError(
-                    "this session runs on a ShardSet, but the plan was "
-                    "built for a backend outside it"
-                )
-            return None, backend
+        if isinstance(query, ShardedPhysicalPlan):
+            if any(query.shard_set is s for s in (self.shard_set, *self._views)):
+                return query.shard_set
+            raise ConfigurationError(
+                "the plan was built for a shard set outside this session; "
+                "plan it with Session.plan"
+            )
         node = query.node if isinstance(query, Query) else query
-        sharded = (
-            find_sharded_collections(node) if hasattr(node, "children") else []
+        if not isinstance(node, LogicalNode):
+            raise ConfigurationError(
+                f"cannot run a {type(query).__name__}; expected a Query, a "
+                "logical node or a plan from Session.plan"
+            )
+        if find_sharded_collections(node):
+            return self.shard_set
+        while node.children:
+            node = node.children[0]
+        backend = getattr(node.collection, "backend", None)
+        for view in self._views:
+            if view.backends[0] is backend:
+                return view
+        raise ConfigurationError(
+            "the query scans no sharded collections and its inputs do not "
+            "live on a backend of this session's ShardSet; load the inputs "
+            "into a ShardedCollection (or onto one shard backend) of the "
+            "session's shard set"
         )
-        if sharded:
-            return self._check_shard_set(sharded[0].shard_set), None
-        if self.shard_set is not None:
-            backends = (
-                _plain_scan_backends(node) if hasattr(node, "children") else []
-            )
-            unique = {id(backend): backend for backend in backends}
-            if len(unique) == 1:
-                (backend,) = unique.values()
-                if backend in self.shard_set.backends:
-                    return None, backend
-            raise ConfigurationError(
-                "this session runs on a ShardSet, but the query scans no "
-                "sharded collections and its inputs do not live on a "
-                "single backend of that shard set; load the inputs into a "
-                "ShardedCollection (or onto one shard backend) of the "
-                "session's shard set"
-            )
-        return None, self.backend
-
-    def _device_index(self, backend: Optional[PersistenceBackend]) -> int:
-        """Position of a backend's device in :attr:`devices` (0 default)."""
-        if backend is None:
-            return 0
-        if self.shard_set is not None:
-            for index, candidate in enumerate(self.shard_set.backends):
-                if candidate is backend:
-                    return index
-        return 0
-
-    def _check_shard_set(self, shard_set: ShardSet) -> ShardSet:
-        if self.shard_set is not None and shard_set is not self.shard_set:
-            raise ConfigurationError(
-                "the query's sharded collections live on a different shard "
-                "set than this session's"
-            )
-        return shard_set
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        target = (
-            f"shards={self.shard_set.num_shards}"
-            if self.shard_set is not None
-            else f"backend={self.backend.name!r}"
-        )
         return (
-            f"Session({target}, budget={self.budget.nbytes}B, "
+            f"Session(shards={self.shard_set.num_shards}, "
+            f"backend={self.shard_set.backend_name!r}, "
+            f"budget={self.budget.nbytes}B, "
             f"boundary_policy={self.boundary_policy!r}, "
             f"admission_policy={self.admission_policy.name!r})"
         )

@@ -1,7 +1,8 @@
 """Sharded parallel query execution over partitioned collections.
 
-``repro.shard`` scales the single-device query layer out to N simulated
-persistent-memory devices:
+``repro.shard`` scales the per-device query layer out to N simulated
+persistent-memory devices; one device is the one-shard case, and
+``Session`` runs every query through this package:
 
 * :class:`~repro.shard.collection.ShardSet` -- N independent devices,
   each behind its own persistence backend;
@@ -18,6 +19,10 @@ persistent-memory devices:
   concurrently (one worker per device) under parent/child bufferpool
   accounting and reports per-shard estimated vs. actual I/O plus the
   critical-path (max-over-shards) cost.
+
+A plain collection on the backend of a one-shard set is that set's
+one-shard input, so a query over one device's collections plans to a
+single fragment that is exactly the single-device plan.
 """
 
 from repro.shard.collection import ShardedCollection, ShardSet

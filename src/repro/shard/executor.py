@@ -1,6 +1,9 @@
-"""Concurrent execution of sharded physical plans.
+"""Execution of every session query: sharded physical plans.
 
-The executor walks the plan's steps in order and runs each step's
+A single device is the one-shard case: ``Session`` plans each query as a
+:class:`~repro.shard.planner.ShardedPhysicalPlan` (a one-shard one for a
+query over one device's collections) and runs it here.  The executor
+walks the plan's steps in order and runs each step's
 per-shard tasks on a :class:`~repro.workload_mgmt.workers.DeviceWorkerPool`
 -- one serial worker per simulated device:
 
@@ -29,7 +32,8 @@ executor carves per-shard child shares from it and closes only those,
 never the pool itself.
 
 The result merges the per-shard outputs (an ordered merge for a root
-OrderBy, concatenation otherwise) into one in-DRAM collection, sums the
+OrderBy, concatenation otherwise) into one in-DRAM collection -- with one
+shard, the final fragment's output is the result as it is -- sums the
 per-shard :class:`~repro.pmem.metrics.IOSnapshot` deltas, and reports the
 critical path: per step, the slowest shard's simulated time, summed over
 steps -- the makespan of the parallel execution.
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
@@ -64,7 +67,8 @@ class ShardedQueryResult:
     """Outcome of one sharded query execution."""
 
     plan: ShardedPhysicalPlan
-    #: Merged final output (in DRAM, like the single-device root).
+    #: Final output: the one fragment's output with one shard, else the
+    #: shard outputs merged in DRAM.
     output: PersistentCollection
     #: Summed device I/O across every shard.
     io: IOSnapshot
@@ -77,8 +81,8 @@ class ShardedQueryResult:
     critical_path_cachelines: float
     #: Per-step, per-shard I/O deltas keyed by step index.
     step_io: dict = field(default_factory=dict)
-    #: Per-fragment-step, per-shard node-execution maps (for explain()).
-    fragment_executions: dict = field(default_factory=dict)
+    #: Per-node actuals of every fragment, keyed by ``id(planned_node)``.
+    executions: dict = field(default_factory=dict)
     #: Records moved per exchange step, keyed by step index.
     exchange_records: dict = field(default_factory=dict)
 
@@ -112,8 +116,6 @@ class ShardedQueryExecutor:
             pool over ``budget`` when omitted.  Shares are reserved up
             front, so concurrent fragments can never jointly exceed it,
             and the executor never closes the pool itself.
-        max_workers: cap on concurrently running per-shard tasks;
-            defaults to one in-flight task per shard.
         worker_pool: a shared :class:`DeviceWorkerPool` to co-schedule
             this query's tasks with other queries on the same devices
             (the workload scheduler passes its own); a private pool is
@@ -125,16 +127,12 @@ class ShardedQueryExecutor:
         shard_set: ShardSet,
         budget: MemoryBudget,
         bufferpool: Bufferpool | None = None,
-        max_workers: int | None = None,
         boundary_policy: str = "cost",
         worker_pool: DeviceWorkerPool | None = None,
     ) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ConfigurationError("max_workers must be positive")
         self.shard_set = shard_set
         self.budget = budget
         self.bufferpool = bufferpool if bufferpool is not None else Bufferpool(budget)
-        self.max_workers = max_workers
         self.boundary_policy = boundary_policy
         self.worker_pool = worker_pool
 
@@ -152,23 +150,19 @@ class ShardedQueryExecutor:
             plan = ShardedPlanner(
                 self.shard_set, self.budget, boundary_policy=self.boundary_policy
             ).plan(query)
-        num_shards = plan.num_shards
-        limit = None
-        if self.max_workers is not None and self.max_workers < num_shards:
-            limit = threading.BoundedSemaphore(self.max_workers)
         pool = self.worker_pool
         owns_pool = pool is None
         if owns_pool:
-            pool = DeviceWorkerPool(num_shards)
+            pool = DeviceWorkerPool(self.shard_set.devices)
         shares: list[Bufferpool] = []
         try:
-            for index in range(num_shards):
+            for index in range(plan.num_shards):
                 shares.append(
                     self.bufferpool.share(
                         nbytes=plan.shard_budget.nbytes, owner=f"shard{index}"
                     )
                 )
-            return self._run(plan, shares, pool, limit)
+            return self._run(plan, shares, pool)
         finally:
             for share in shares:
                 share.close()
@@ -178,19 +172,20 @@ class ShardedQueryExecutor:
     # ------------------------------------------------------------------ #
     # Step execution.
     # ------------------------------------------------------------------ #
-    def _run(self, plan, shares, pool, limit) -> ShardedQueryResult:
+    def _run(self, plan, shares, pool) -> ShardedQueryResult:
         num_shards = plan.num_shards
         fragment_outputs: dict[int, list[PersistentCollection]] = {}
-        fragment_executions: dict[int, list[dict]] = {}
+        executions: dict = {}
         exchange_records: dict[int, int] = {}
         step_io: dict[int, list[IOSnapshot]] = {}
         critical_ns = 0.0
         critical_cachelines = 0.0
         for step in plan.steps:
             if isinstance(step, FragmentStep):
-                results = self._run_fragments(step, plan, shares, pool, limit)
+                results = self._run_fragments(step, plan, shares, pool)
                 fragment_outputs[step.index] = [r.output for r in results]
-                fragment_executions[step.index] = [r.executions for r in results]
+                for result in results:
+                    executions.update(result.executions)
                 # A fragment's QueryResult.io is the device delta taken
                 # around its run *on its own serial worker*: exact even
                 # when other queries interleave on the devices.
@@ -201,7 +196,7 @@ class ShardedQueryExecutor:
                 )
             elif isinstance(step, ExchangeStep):
                 moved, deltas, phase_ns, phase_cachelines = self._run_exchange(
-                    step, fragment_outputs, pool, limit
+                    step, fragment_outputs, pool
                 )
                 exchange_records[step.index] = moved
                 critical_ns += phase_ns
@@ -214,7 +209,8 @@ class ShardedQueryExecutor:
             for shard in range(num_shards)
         ]
         self._release_exchange_stores(plan)
-        output = self._merge(plan, fragment_outputs[plan.final_step_index])
+        outputs = fragment_outputs[plan.final_step_index]
+        output = outputs[0] if num_shards == 1 else self._merge(plan, outputs)
         return ShardedQueryResult(
             plan=plan,
             output=output,
@@ -223,12 +219,12 @@ class ShardedQueryExecutor:
             critical_path_ns=critical_ns,
             critical_path_cachelines=critical_cachelines,
             step_io=step_io,
-            fragment_executions=fragment_executions,
+            executions=executions,
             exchange_records=exchange_records,
         )
 
     def _run_fragments(
-        self, step: FragmentStep, plan, shares, pool, limit
+        self, step: FragmentStep, plan, shares, pool
     ) -> list[QueryResult]:
         def run_fragment(index: int) -> QueryResult:
             executor = QueryExecutor(
@@ -238,10 +234,10 @@ class ShardedQueryExecutor:
             )
             return executor.execute(step.fragments[index])
 
-        return pool.map_shards(run_fragment, len(step.fragments), limit)
+        return pool.map_shards(run_fragment, self.shard_set.devices)
 
     def _run_exchange(
-        self, step: ExchangeStep, fragment_outputs, pool, limit
+        self, step: ExchangeStep, fragment_outputs, pool
     ) -> tuple[int, list[IOSnapshot], float, float]:
         """Run the two exchange phases; returns (records moved, per-shard
         deltas, critical ns, critical cachelines).
@@ -271,7 +267,7 @@ class ShardedQueryExecutor:
                     buckets[shard_of(record)].append(record)
             return buckets, device.snapshot() - before
 
-        read_results = pool.map_shards(read_and_bucket, num_shards, limit)
+        read_results = pool.map_shards(read_and_bucket, self.shard_set.devices)
         all_buckets = [buckets for buckets, _ in read_results]
         read_deltas = [delta for _, delta in read_results]
 
@@ -294,7 +290,7 @@ class ShardedQueryExecutor:
             dest.seal()
             return moved, device.snapshot() - before
 
-        write_results = pool.map_shards(write_destination, num_shards, limit)
+        write_results = pool.map_shards(write_destination, self.shard_set.devices)
         moved = sum(count for count, _ in write_results)
         write_deltas = [delta for _, delta in write_results]
         deltas = [read + write for read, write in zip(read_deltas, write_deltas)]

@@ -23,6 +23,10 @@ shard-local when its input is partitioned on the group attribute and
 otherwise repartitions on it.  A root ``OrderBy`` is merged order-wise at
 the coordinator; every other root is concatenated.
 
+A one-shard set also plans queries over plain collections on its backend:
+its single fragment is exactly the single-device plan, which is how a
+session over one device runs every query.
+
 Because fragments run concurrently (one worker per simulated device),
 the plan's *critical path* -- the sum over steps of the slowest shard in
 each step -- is the sharded analogue of a single-device plan's total
@@ -161,8 +165,13 @@ class ShardedPhysicalPlan:
         ``result`` is a :class:`~repro.shard.executor.ShardedQueryResult`;
         when given, every fragment line shows estimated vs. actual
         weighted cacheline I/O and the summary reports the actual critical
-        path next to the estimate.
+        path next to the estimate.  A one-shard plan is its one fragment
+        and renders as that fragment's
+        :meth:`~repro.query.planner.PhysicalPlan.explain`.
         """
+        executions = result.executions if result is not None else None
+        if self.num_shards == 1:
+            return self.final_step.fragments[0].explain(executions)
         device = self.shard_set.backends[0].device
         read_ns = device.latency.read_ns
         lam = device.write_read_ratio
@@ -177,7 +186,7 @@ class ShardedPhysicalPlan:
             if isinstance(step, ExchangeStep):
                 lines.extend(self._render_exchange(step, result, to_wcl, lam))
             else:
-                lines.extend(self._render_fragments(step, result, to_wcl))
+                lines.extend(self._render_fragments(step, executions, to_wcl))
         merge_kind, merge_key = self.merge
         merge_text = (
             f"ordered merge on attr {merge_key}"
@@ -232,17 +241,12 @@ class ShardedPhysicalPlan:
                 )
         return lines
 
-    def _render_fragments(self, step, result, to_wcl):
+    def _render_fragments(self, step, executions, to_wcl):
         lines = [
             f"step {step.index + 1}: {step.label}"
             f" | est critical {to_wcl(step.est_critical_ns):.0f} wcl"
         ]
         for shard, fragment in enumerate(step.fragments):
-            executions = None
-            if result is not None:
-                shard_executions = result.fragment_executions.get(step.index)
-                if shard_executions is not None:
-                    executions = shard_executions[shard]
             lines.append(f"   shard {shard}:")
             lines.extend(fragment.explain_lines(executions, prefix="      "))
         return lines
@@ -369,10 +373,17 @@ class ShardedPlanner:
     def _build_scan(self, node: Scan):
         collection = node.collection
         if not getattr(collection, "is_sharded", False):
+            # A plain collection is its own one-shard input when the set
+            # is that one shard's device.
+            backends = self.shard_set.backends
+            backend = getattr(collection, "backend", None)
+            if len(backends) == 1 and backend is backends[0]:
+                return [node], None
             raise ConfigurationError(
                 f"collection {collection.name!r} is not sharded; a sharded "
                 "plan requires every scanned input to be a ShardedCollection "
-                "on the planner's shard set"
+                "on the planner's shard set (or, on a one-shard set, a "
+                "collection on its backend)"
             )
         if collection.shard_set is not self.shard_set:
             raise ConfigurationError(

@@ -61,8 +61,8 @@ class QueryHandle:
             budget).
         queue_wait_ns: simulated device-busy nanoseconds that elapsed
             between submission and dispatch (the admission queue wait).
-        run_ns: the query's own simulated run time once finished — the
-            critical path for sharded plans, total device time otherwise.
+        run_ns: the query's own simulated run time once finished — its
+            critical path (with one shard, its total device time).
     """
 
     def __init__(self, query, *, priority: int = 0, tag: Optional[str] = None, seq: int = 0) -> None:
@@ -88,8 +88,6 @@ class QueryHandle:
         self._reference_plan = None
         self._preplanned = False
         self._shard_set = None
-        self._backend = None
-        self._device_index = 0
         self._boundary_policy: Optional[str] = None
         self._materialize_result = False
         self._memory_bytes: Optional[int] = None

@@ -3,22 +3,19 @@
 The scheduler turns the admission controller's decisions into running
 queries while preserving the one invariant the simulated accounting
 depends on: *per-device serialization across queries*.  All work that
-touches device ``i`` — a whole single-device query, or one shard's
-fragment/exchange task of a sharded query — is funneled through device
-``i``'s serial worker in the shared :class:`DeviceWorkerPool`, so
-fragments from different queries are co-scheduled on one worker-per-
-device pool exactly as fragments of a single query used to be.
+touches a device — one shard's fragment or exchange task of a query —
+is funneled through that device's serial worker in the shared
+:class:`DeviceWorkerPool`, so fragments from different queries are
+co-scheduled on one worker-per-device pool exactly as fragments of a
+single query are.
 
-Execution shape per admitted query:
-
-* a **single-device** query is one task on its device's worker (the
-  :class:`~repro.query.executor.QueryExecutor` runs start to finish on
-  that worker thread, under the query's admitted bufferpool share);
-* a **sharded** query gets a lightweight coordinator thread that walks
-  the plan's steps and submits each step's per-shard tasks to the shared
-  pool (the refitted :class:`~repro.shard.executor.ShardedQueryExecutor`
-  measures every task's I/O locally on the worker, so interleaved
-  queries never pollute each other's snapshots).
+Every admitted query runs the same way: the session planned it as a
+:class:`~repro.shard.planner.ShardedPhysicalPlan` (a one-shard plan for a
+query over one device), and a lightweight coordinator thread runs it
+through :class:`~repro.shard.executor.ShardedQueryExecutor`, which submits
+each step's per-shard tasks to the shared pool and measures every task's
+I/O locally on the worker, so interleaved queries never pollute each
+other's snapshots.
 
 Simulated time: devices only advance their clocks by doing work, so the
 scheduler's *busy clock* — the maximum over devices of simulated busy
@@ -30,13 +27,10 @@ submission and dispatch; its ``run_ns`` is its own critical path.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Optional
 
 from repro.exceptions import ConfigurationError
-from repro.query.executor import QueryExecutor
-from repro.query.planner import CostBasedPlanner, PhysicalPlan
-from repro.shard.planner import ShardedPlanner
+from repro.shard.planner import ShardedPhysicalPlan, ShardedPlanner
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.workload_mgmt.admission import AdmissionController
 from repro.workload_mgmt.calibration import CalibrationAggregator
@@ -64,8 +58,8 @@ class WorkloadScheduler:
     """Admits, plans, and co-schedules a session's concurrent queries.
 
     The scheduler deliberately holds no reference to its ``Session`` (the
-    session routes queries and hands over the pieces), so a dropped
-    session is reclaimed promptly and its worker threads exit.
+    session picks each query's shard set and hands over the pieces), so a
+    dropped session is reclaimed promptly and its worker threads exit.
 
     Args:
         bufferpool: the session pool admitted shares are carved from.
@@ -86,12 +80,18 @@ class WorkloadScheduler:
     ) -> None:
         self.budget = budget
         self.devices = list(devices)
-        self.worker_pool = DeviceWorkerPool(len(self.devices))
+        self.worker_pool = DeviceWorkerPool(self.devices)
         self.controller = AdmissionController(bufferpool, policy=policy)
         self.calibration = calibration
         self._baseline_ns = [device.snapshot().total_ns for device in self.devices]
         self._lock = threading.Lock()
+        #: Notified whenever ``_drained()`` may have become true.
+        self._idle = threading.Condition(self._lock)
         self._running: set[QueryHandle] = set()
+        #: Admitted with ``dispatch=False`` and not yet started or abandoned.
+        self._parked = 0
+        #: :meth:`submit` calls past the closed check and not yet returned.
+        self._submitting = 0
         self._seq = 0
         self._closed = False
 
@@ -107,10 +107,9 @@ class WorkloadScheduler:
     def submit(
         self, handle: QueryHandle, *, policy=None, dispatch: bool = True
     ) -> QueryHandle:
-        """Admit (or queue/shed/degrade) a routed handle; maybe dispatch.
+        """Admit (or queue/shed/degrade) a handle; maybe dispatch.
 
-        The handle arrives routed by the session (its ``_shard_set`` /
-        ``_backend`` / ``_device_index`` fields are set).  With
+        The handle arrives with its ``_shard_set`` set by the session.  With
         ``dispatch=False`` an admitted handle holds its share but does
         not start until :meth:`start` — ``run_workload`` uses this to
         make admission decisions for a whole batch before any query can
@@ -122,16 +121,24 @@ class WorkloadScheduler:
                 raise ConfigurationError(
                     "the session is closed; no further queries can be submitted"
                 )
-        handle._scheduler = self
-        handle._clock_submit = self.busy_clock_ns()
-        self._prepare(handle)
-        if self.controller.try_admit(handle, policy=policy):
-            self._record_queue_wait(handle)
-            self._finalize(handle)
-            if not dispatch:
-                handle._awaiting_start = True
-            elif self._claim(handle):
-                self._dispatch(handle)
+            self._submitting += 1
+        try:
+            handle._scheduler = self
+            handle._clock_submit = self.busy_clock_ns()
+            self._prepare(handle)
+            if self.controller.try_admit(handle, policy=policy):
+                self._record_queue_wait(handle)
+                self._finalize(handle)
+                if not dispatch:
+                    with self._lock:
+                        handle._awaiting_start = True
+                        self._parked += 1
+                elif self._claim(handle):
+                    self._dispatch(handle)
+        finally:
+            with self._idle:
+                self._submitting -= 1
+                self._idle.notify_all()
         return handle
 
     def _record_queue_wait(self, handle: QueryHandle) -> None:
@@ -164,6 +171,8 @@ class WorkloadScheduler:
             if handle._dispatched:
                 return False
             handle._dispatched = True
+            if handle._awaiting_start:
+                self._parked -= 1
             return True
 
     def busy_clock_ns(self) -> float:
@@ -191,9 +200,7 @@ class WorkloadScheduler:
         from repro.workload_mgmt.admission import estimate_plan_memory_bytes
 
         query = handle.query
-        if isinstance(query, PhysicalPlan) or getattr(
-            query, "is_sharded_plan", False
-        ):
+        if isinstance(query, ShardedPhysicalPlan):
             # Already planned: the plan's own budget is the request (its
             # operators will reserve exactly that much workspace).
             handle._preplanned = True
@@ -225,12 +232,8 @@ class WorkloadScheduler:
         )
 
     def _plan(self, query, handle: QueryHandle, budget: MemoryBudget):
-        if handle._shard_set is not None:
-            return ShardedPlanner(
-                handle._shard_set, budget, boundary_policy=handle._boundary_policy
-            ).plan(query)
-        return CostBasedPlanner(
-            handle._backend, budget, boundary_policy=handle._boundary_policy
+        return ShardedPlanner(
+            handle._shard_set, budget, boundary_policy=handle._boundary_policy
         ).plan(query)
 
     def _finalize(self, handle: QueryHandle) -> None:
@@ -239,18 +242,25 @@ class WorkloadScheduler:
         A query admitted under less memory than its reference plan was
         priced with (an explicit smaller request, or the ``degrade``
         policy) is replanned under the admitted budget, so its operators
-        size — and reserve — workspace that actually fits the share.
+        size — and reserve — workspace that actually fits the share.  A
+        ``materialize_result`` query has its final output marked for the
+        device here.
         """
         reference = handle._reference_plan
         if handle._preplanned or handle.admitted_bytes == reference.budget.nbytes:
             handle._plan = reference
-            return
-        budget = MemoryBudget(
-            handle.admitted_bytes,
-            cacheline_bytes=self.budget.cacheline_bytes,
-            block_bytes=self.budget.block_bytes,
-        )
-        handle._plan = self._plan(handle.query, handle, budget)
+        else:
+            budget = MemoryBudget(
+                handle.admitted_bytes,
+                cacheline_bytes=self.budget.cacheline_bytes,
+                block_bytes=self.budget.block_bytes,
+            )
+            handle._plan = self._plan(handle.query, handle, budget)
+        if handle._materialize_result:
+            # The session accepts materialize_result on one-shard plans
+            # only, whose one final fragment's output is the result.
+            (fragment,) = handle._plan.final_step.fragments
+            fragment.materialize_root()
 
     # ------------------------------------------------------------------ #
     # Dispatch and completion.
@@ -260,34 +270,14 @@ class WorkloadScheduler:
         handle._mark_running()
         with self._lock:
             self._running.add(handle)
-        if handle._shard_set is not None:
-            thread = threading.Thread(
-                target=self._run_sharded,
-                args=(handle,),
-                name=f"workload-query-{handle.seq}",
-                daemon=True,
-            )
-            thread.start()
-        else:
-            self.worker_pool.submit(handle._device_index, self._run_single, handle)
+        threading.Thread(
+            target=self._run,
+            args=(handle,),
+            name=f"workload-query-{handle.seq}",
+            daemon=True,
+        ).start()
 
-    def _run_single(self, handle: QueryHandle) -> None:
-        """Runs on the query's device worker thread."""
-        result, run_ns, error = None, 0.0, None
-        try:
-            executor = QueryExecutor(
-                handle._backend,
-                handle._share.budget,
-                bufferpool=handle._share,
-                materialize_result=handle._materialize_result,
-            )
-            result = executor.execute(handle._plan)
-            run_ns = result.io.total_ns
-        except BaseException as caught:  # noqa: BLE001 - stored on the handle
-            error = caught
-        self._complete(handle, result, run_ns, error)
-
-    def _run_sharded(self, handle: QueryHandle) -> None:
+    def _run(self, handle: QueryHandle) -> None:
         """Runs on the query's coordinator thread; per-shard tasks go to
         the shared worker pool."""
         # Imported lazily: repro.shard.executor builds on this package's
@@ -306,9 +296,6 @@ class WorkloadScheduler:
             run_ns = result.critical_path_ns
         except BaseException as caught:  # noqa: BLE001 - stored on the handle
             error = caught
-        self._complete(handle, result, run_ns, error)
-
-    def _complete(self, handle, result, run_ns, error) -> None:
         try:
             if error is not None:
                 handle._fail(error)
@@ -317,10 +304,11 @@ class WorkloadScheduler:
                 if self.calibration is not None:
                     self.calibration.record(result)
         finally:
-            with self._lock:
-                self._running.discard(handle)
             self._release_and_dispatch(handle)
             handle._done.set()
+            with self._idle:
+                self._running.discard(handle)
+                self._idle.notify_all()
 
     def _release_and_dispatch(self, handle: QueryHandle) -> None:
         """Return a handle's share and dispatch every waiter it admits."""
@@ -341,6 +329,8 @@ class WorkloadScheduler:
                 # dropped holding their shares.
                 pending.extend(self.controller.release(waiter))
                 waiter._done.set()
+        with self._idle:
+            self._idle.notify_all()
 
     def abandon(self, handle: QueryHandle) -> None:
         """Resolve a handle that will never be started.
@@ -372,31 +362,24 @@ class WorkloadScheduler:
     def shutdown(self, wait: bool = True) -> list[QueryHandle]:
         """Stop accepting queries, cancel waiters, drain running ones.
 
-        Returns the handles that were cancelled while queued.
+        Submissions already past the closed check finish first, so none
+        of them can queue a handle after the waiters are cancelled or
+        admit one after the workers stop.  With ``wait``, then blocks
+        until :meth:`_drained`.  Returns the handles that were cancelled
+        while queued.
         """
-        with self._lock:
+        with self._idle:
             self._closed = True
+            self._idle.wait_for(lambda: not self._submitting)
         cancelled = self.controller.drain_pending()
         if wait:
-            idle_checks = 0
-            while True:
-                with self._lock:
-                    running = list(self._running)
-                if not running and self.controller.admitted_count == 0:
-                    break
-                for handle in running:
-                    handle._done.wait()
-                if not running:
-                    # Admitted but not dispatched: either a completion is
-                    # mid-flight (it will show up in _running shortly) or
-                    # the handle was deliberately never started -- give
-                    # the former a moment, then stop waiting on the
-                    # latter rather than spinning forever.
-                    idle_checks += 1
-                    if idle_checks > 50:
-                        break
-                    time.sleep(0.001)
-                else:
-                    idle_checks = 0
+            with self._idle:
+                self._idle.wait_for(self._drained)
         self.worker_pool.shutdown(wait=wait)
         return cancelled
+
+    def _drained(self) -> bool:
+        """No query runs, and every admitted share belongs to a handle
+        admitted with ``dispatch=False`` that was never started, which
+        shutdown does not wait for.  Called under the scheduler lock."""
+        return not self._running and self.controller.admitted_count == self._parked

@@ -17,7 +17,6 @@ queries share the devices.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Optional
 
@@ -28,11 +27,12 @@ class DeviceWorkerPool:
     """One serial worker per simulated device.
 
     Args:
-        num_devices: how many devices the pool serves; tasks are keyed by
-            device index in ``[0, num_devices)``.
-        name: thread-name prefix, for debuggability.
+        devices: the devices the pool serves, in shard order; tasks are
+            keyed by the device object they touch.
+        name: thread-name prefix, for debuggability; the worker of
+            ``devices[i]`` is named ``{name}-worker-{i}``.
 
-    Tasks for device ``i`` run on worker ``i``, in submission order.
+    Tasks for one device run on its worker, in submission order.
     Because a device's work is funneled through exactly one thread, the
     device's counters are only ever updated by that thread and a
     ``snapshot()`` delta taken inside a task measures exactly that task's
@@ -40,53 +40,42 @@ class DeviceWorkerPool:
     accounting exact under concurrency.
     """
 
-    def __init__(self, num_devices: int, name: str = "device") -> None:
-        if num_devices <= 0:
+    def __init__(self, devices: list, name: str = "device") -> None:
+        if not devices:
             raise ConfigurationError("a worker pool needs at least one device")
-        self._executors = [
-            ThreadPoolExecutor(
+        self._executors = {
+            device: ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix=f"{name}-worker-{index}"
             )
-            for index in range(num_devices)
-        ]
+            for index, device in enumerate(devices)
+        }
         self._shutdown = False
 
     @property
     def num_devices(self) -> int:
         return len(self._executors)
 
-    def submit(self, device_index: int, fn: Callable, *args, **kwargs) -> Future:
-        """Queue ``fn(*args, **kwargs)`` on ``device_index``'s worker."""
+    def submit(self, device, fn: Callable, *args, **kwargs) -> Future:
+        """Queue ``fn(*args, **kwargs)`` on ``device``'s worker."""
         if self._shutdown:
             raise ConfigurationError("the worker pool is shut down")
-        return self._executors[device_index % len(self._executors)].submit(
-            fn, *args, **kwargs
-        )
+        executor = self._executors.get(device)
+        if executor is None:
+            raise ConfigurationError(
+                "the task's device is not one of this worker pool's devices"
+            )
+        return executor.submit(fn, *args, **kwargs)
 
-    def map_shards(
-        self,
-        fn: Callable[[int], object],
-        count: int,
-        limit: Optional[threading.Semaphore] = None,
-    ) -> list:
-        """Run ``fn(i)`` for ``i in range(count)``, each on device ``i``.
+    def map_shards(self, fn: Callable[[int], object], devices: list) -> list:
+        """Run ``fn(i)`` for every index ``i`` of ``devices``, on
+        ``devices[i]``'s worker.
 
-        ``limit`` caps how many tasks are in flight at once (the
-        ``max_workers`` compatibility knob): the submitting thread blocks
-        on the semaphore before each submission and the slot is returned
-        when the task finishes.  Results come back in index order; if any
-        task raised, every task is still awaited and the first error is
-        re-raised.
+        Results come back in index order; if any task raised, every task
+        is still awaited and the first error is re-raised.
         """
-        futures: list[Future] = []
-        for index in range(count):
-            if limit is not None:
-                limit.acquire()
-                future = self.submit(index, fn, index)
-                future.add_done_callback(lambda _f, _l=limit: _l.release())
-            else:
-                future = self.submit(index, fn, index)
-            futures.append(future)
+        futures = [
+            self.submit(device, fn, index) for index, device in enumerate(devices)
+        ]
         results: list = []
         first_error: Optional[BaseException] = None
         for future in futures:
@@ -103,7 +92,7 @@ class DeviceWorkerPool:
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting tasks and (optionally) wait for the queues."""
         self._shutdown = True
-        for executor in self._executors:
+        for executor in self._executors.values():
             executor.shutdown(wait=wait)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -9,6 +9,7 @@ from repro.query import (
     BoundaryKind,
     CostBasedPlanner,
     Query,
+    QueryExecutor,
     build_operator,
 )
 from repro.runtime.api import CallKind
@@ -117,7 +118,11 @@ class TestDeferredExecution:
         session = Session(backend, budget)
         query = filter_join_group_query(left, right)
         baseline = session.query(query, boundary_policy="materialize")
-        result = session.query(query, boundary_policy="defer")
+        # The runtime context belongs to the one fragment, so run that
+        # single-device plan through its executor directly.
+        result = QueryExecutor(backend, budget, boundary_policy="defer").execute(
+            query
+        )
         # Byte-identical records despite the dropped intermediate.
         assert result.records == baseline.records
         context = result.runtime_context
@@ -190,7 +195,8 @@ class TestExplainRendering:
             Query.scan(collection).order_by(), materialize_result=True
         )
         assert result.output.is_materialized
-        assert result.plan.root.boundary.kind is BoundaryKind.MATERIALIZE
+        (fragment,) = result.plan.final_step.fragments
+        assert fragment.root.boundary.kind is BoundaryKind.MATERIALIZE
 
 
 class TestPhysicalOperatorProtocol:

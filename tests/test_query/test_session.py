@@ -12,7 +12,7 @@ from repro import (
 )
 from repro.bench.harness import budget_for, make_environment
 from repro.exceptions import ConfigurationError
-from repro.query import QueryResult
+from repro.query import PhysicalPlan
 from repro.shard import ShardedCollection
 from repro.storage.bufferpool import Bufferpool
 from repro.storage.schema import WISCONSIN_SCHEMA
@@ -27,7 +27,9 @@ class TestTargets:
         collection = make_sort_input(200, backend)
         session = Session(backend, budget_for(collection, 0.10))
         result = session.query(Query.scan(collection).order_by())
-        assert isinstance(result, QueryResult)
+        # One device is a one-shard set whose fragment is a single-device plan.
+        assert result.plan.shard_set.backends == [backend]
+        assert isinstance(result.plan.final_step.fragments[0], PhysicalPlan)
         assert result.records == sorted(collection.records)
 
     def test_device_target_wraps_blocked_memory(self):

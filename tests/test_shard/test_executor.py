@@ -14,6 +14,7 @@ from repro.shard import (
 from repro.shard.planner import ExchangeStep
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.schema import WISCONSIN_SCHEMA
+from repro.workload_mgmt import DeviceWorkerPool
 
 
 def build_sharded(shard_set, name, keys, partitioner=None):
@@ -48,16 +49,17 @@ def test_same_plan_executes_twice_identically():
     assert first.critical_path_ns == second.critical_path_ns
 
 
-def test_worker_count_does_not_change_accounting():
+def test_shared_worker_pool_does_not_change_accounting():
     budget = MemoryBudget.from_records(45)
     results = []
-    for max_workers in (1, 2, None):
+    for shared in (False, True):
         shard_set = ShardSet.create(3)
         query = repartitioned_join(shard_set)
-        executor = ShardedQueryExecutor(
-            shard_set, budget, max_workers=max_workers
-        )
+        pool = DeviceWorkerPool(shard_set.devices) if shared else None
+        executor = ShardedQueryExecutor(shard_set, budget, worker_pool=pool)
         results.append(executor.execute(query))
+        if pool is not None:
+            pool.shutdown()
     baseline = results[0]
     for result in results[1:]:
         assert sorted(result.records) == sorted(baseline.records)

@@ -11,7 +11,6 @@ from repro.shard import (
     HashPartitioner,
     ShardSet,
     ShardedCollection,
-    ShardedPhysicalPlan,
     ShardedPlanner,
     ShardedQueryExecutor,
 )
@@ -171,16 +170,15 @@ class TestTinyBudgets:
 
 
 class TestShardedDispatch:
-    def test_cost_based_planner_delegates_to_sharded_planner(self):
+    def test_cost_based_planner_rejects_sharded_scans(self):
         shard_set = ShardSet.create(2)
         collection = build_sharded(shard_set, "T", list(range(64)))
         env = make_environment()
         budget = MemoryBudget.from_records(16)
-        plan = CostBasedPlanner(env.backend, budget).plan(
-            Query.scan(collection).order_by()
-        )
-        assert isinstance(plan, ShardedPhysicalPlan)
-        assert plan.num_shards == 2
+        with pytest.raises(ConfigurationError, match="ShardedPlanner"):
+            CostBasedPlanner(env.backend, budget).plan(
+                Query.scan(collection).order_by()
+            )
 
     def test_single_device_executor_rejects_sharded_queries(self):
         shard_set = ShardSet.create(2)

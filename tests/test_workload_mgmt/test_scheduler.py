@@ -1,11 +1,14 @@
 """Co-scheduling: per-device serialization, equivalence, timing."""
 
 import collections
+import sys
 import threading
+import time
 
 import pytest
 
-from repro import MemoryBudget, Query, Session, ShardSet
+from repro import MemoryBudget, PersistentMemoryDevice, Query, Session, ShardSet
+from repro.exceptions import ConfigurationError
 from repro.storage.collection import PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workload_mgmt import DeviceWorkerPool, QueryStatus
@@ -25,9 +28,14 @@ def build_plain(backend, name, keys):
     return collection
 
 
+def make_devices(count):
+    return [PersistentMemoryDevice() for _ in range(count)]
+
+
 class TestDeviceWorkerPool:
     def test_tasks_for_one_device_never_overlap(self):
-        pool = DeviceWorkerPool(3)
+        devices = make_devices(3)
+        pool = DeviceWorkerPool(devices)
         active = [0] * 3
         overlapped = []
         lock = threading.Lock()
@@ -45,7 +53,7 @@ class TestDeviceWorkerPool:
                 active[device_index] -= 1
 
         futures = [
-            pool.submit(index % 3, task, index % 3) for index in range(60)
+            pool.submit(devices[index % 3], task, index % 3) for index in range(60)
         ]
         for future in futures:
             future.result()
@@ -53,33 +61,27 @@ class TestDeviceWorkerPool:
         assert overlapped == []
 
     def test_map_shards_returns_in_index_order(self):
-        pool = DeviceWorkerPool(4)
-        assert pool.map_shards(lambda i: i * i, 4) == [0, 1, 4, 9]
+        devices = make_devices(4)
+        pool = DeviceWorkerPool(devices)
+        assert pool.map_shards(lambda i: i * i, devices) == [0, 1, 4, 9]
         pool.shutdown()
 
-    def test_map_shards_limit_caps_inflight(self):
-        pool = DeviceWorkerPool(4)
-        inflight, peak = [0], [0]
-        lock = threading.Lock()
-        limit = threading.BoundedSemaphore(2)
-
-        def task(index):
-            with lock:
-                inflight[0] += 1
-                peak[0] = max(peak[0], inflight[0])
-            import time
-
-            time.sleep(0.005)
-            with lock:
-                inflight[0] -= 1
-            return index
-
-        assert pool.map_shards(task, 4, limit) == [0, 1, 2, 3]
+    def test_map_shards_runs_each_task_on_its_devices_worker(self):
+        devices = make_devices(3)
+        pool = DeviceWorkerPool(devices)
+        names = pool.map_shards(
+            lambda i: threading.current_thread().name, list(reversed(devices))
+        )
         pool.shutdown()
-        assert peak[0] <= 2
+        assert [name.rsplit("_", 1)[0] for name in names] == [
+            "device-worker-2",
+            "device-worker-1",
+            "device-worker-0",
+        ]
 
     def test_map_shards_propagates_the_first_error(self):
-        pool = DeviceWorkerPool(2)
+        devices = make_devices(2)
+        pool = DeviceWorkerPool(devices)
 
         def task(index):
             if index == 1:
@@ -87,8 +89,35 @@ class TestDeviceWorkerPool:
             return index
 
         with pytest.raises(ValueError, match="boom"):
-            pool.map_shards(task, 2)
+            pool.map_shards(task, devices)
         pool.shutdown()
+
+    def test_task_for_a_device_outside_the_pool_rejected(self):
+        pool = DeviceWorkerPool(make_devices(2))
+        with pytest.raises(ConfigurationError, match="not one of this worker pool"):
+            pool.submit(PersistentMemoryDevice(), lambda: None)
+        pool.shutdown()
+
+    def test_shard_local_query_runs_on_its_devices_worker(self):
+        shard_set = ShardSet.create(2)
+        plain = build_plain(shard_set.backends[1], "ON-1", range(300))
+        threads = set()
+
+        def predicate(record):
+            threads.add(threading.current_thread().name)
+            return record[0] < 100
+
+        other, own = (device.snapshot() for device in shard_set.devices)
+        with Session(shard_set, MemoryBudget.from_records(60)) as session:
+            result = session.query(
+                Query.scan(plain).filter(predicate, selectivity=1 / 3)
+            )
+        assert len(result.records) == 100
+        assert [name.rsplit("_", 1)[0] for name in threads] == ["device-worker-1"]
+        assert shard_set.devices[0].snapshot() == other
+        charged = shard_set.devices[1].snapshot() - own
+        assert charged.cacheline_reads > 0
+        assert result.io == charged
 
 
 class TestCoScheduling:
@@ -252,8 +281,7 @@ class TestRunWorkloadDispatch:
         runs = collections.Counter()
         original_finalize = WorkloadScheduler._finalize
         original_start = WorkloadScheduler.start
-        original_run_single = WorkloadScheduler._run_single
-        original_run_sharded = WorkloadScheduler._run_sharded
+        original_run = WorkloadScheduler._run
 
         def finalize(self, handle):
             if threading.current_thread() is not caller:
@@ -281,12 +309,7 @@ class TestRunWorkloadDispatch:
 
         monkeypatch.setattr(WorkloadScheduler, "_finalize", finalize)
         monkeypatch.setattr(WorkloadScheduler, "start", start)
-        monkeypatch.setattr(
-            WorkloadScheduler, "_run_single", counted(original_run_single)
-        )
-        monkeypatch.setattr(
-            WorkloadScheduler, "_run_sharded", counted(original_run_sharded)
-        )
+        monkeypatch.setattr(WorkloadScheduler, "_run", counted(original_run))
 
         with Session(target, MemoryBudget.from_bytes(3 * share)) as session:
             result = session.run_workload(queries, policy="queue")
@@ -303,3 +326,110 @@ class TestRunWorkloadDispatch:
         for handle, serial_result in zip(result.handles, serial):
             assert handle.result().records == serial_result.records
         assert session.bufferpool.holders() == {}
+
+
+class TestShutdown:
+    def test_returns_at_once_with_a_never_started_handle(
+        self, backend, monkeypatch
+    ):
+        collection = build_plain(backend, "NS", range(200))
+        session = Session(backend, MemoryBudget.from_bytes(32_000))
+        scheduler = session.scheduler
+        handle = session.submit(Query.scan(collection).order_by(), _dispatch=False)
+        assert handle._awaiting_start and handle._share is not None
+
+        def no_polling(seconds):
+            raise AssertionError("shutdown polled with time.sleep")
+
+        monkeypatch.setattr(time, "sleep", no_polling)
+        returned = threading.Event()
+
+        def shut_down():
+            scheduler.shutdown()
+            returned.set()
+
+        thread = threading.Thread(target=shut_down)
+        thread.start()
+        thread.join(timeout=10)
+        assert returned.is_set()
+        assert not handle._dispatched
+        scheduler.abandon(handle)
+        assert handle.status is QueryStatus.CANCELLED
+        assert session.bufferpool.holders() == {}
+
+    def test_waits_for_a_running_query(self, backend):
+        collection = build_plain(backend, "RUN", range(200))
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking(record):
+            entered.set()
+            release.wait(timeout=10)
+            return True
+
+        session = Session(backend, MemoryBudget.from_bytes(32_000))
+        handle = session.submit(
+            Query.scan(collection).filter(blocking, selectivity=1.0)
+        )
+        assert entered.wait(timeout=10)
+        scheduler = session.scheduler
+        returned = threading.Event()
+
+        def shut_down():
+            scheduler.shutdown()
+            returned.set()
+
+        thread = threading.Thread(target=shut_down)
+        thread.start()
+        assert not returned.wait(timeout=0.2)
+        release.set()
+        thread.join(timeout=10)
+        assert returned.is_set()
+        assert handle.status is QueryStatus.DONE
+        assert len(handle.result().records) == 200
+
+    def test_drains_a_busy_scheduler(self, backend):
+        """Submitters race a shutdown under a budget that admits three
+        queries at a time: shutdown returns once every admitted query
+        has finished, so none fails on a stopped worker pool, and every
+        share is returned."""
+        collection = build_plain(backend, "BUSY", range(300))
+        query = Query.scan(collection).filter(
+            lambda r: r[0] % 3 == 0, selectivity=1 / 3
+        )
+        session = Session(backend, MemoryBudget.from_bytes(24_000))
+        scheduler = session.scheduler
+        handles = []
+        started = threading.Barrier(9)
+
+        def submit_many():
+            started.wait(timeout=60)
+            for _ in range(40):
+                try:
+                    handles.append(session.submit(query, memory_bytes=8_000))
+                except ConfigurationError:  # the scheduler closed
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            submitters = [threading.Thread(target=submit_many) for _ in range(8)]
+            for thread in submitters:
+                thread.start()
+            started.wait(timeout=60)
+            deadline = time.monotonic() + 60
+            while len(handles) < 8 and time.monotonic() < deadline:
+                time.sleep(0)
+            scheduler.shutdown()
+            for thread in submitters:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in submitters)
+        for handle in handles:
+            handle.wait(timeout=60)
+        statuses = {handle.status for handle in handles}
+        assert statuses <= {QueryStatus.DONE, QueryStatus.CANCELLED}, [
+            handle.error for handle in handles if handle.status is QueryStatus.FAILED
+        ][:1]
+        assert session.bufferpool.holders() == {}
+        session.close()
